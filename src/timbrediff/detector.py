@@ -224,9 +224,16 @@ def read_results_csv(path) -> list:
         header = next(reader, None)
         if header != RESULTS_CSV_HEADER:
             raise ValueError(f"{path}: unexpected results CSV header {header}")
+        first_row = {}
         for row in reader:
             if len(row) != len(RESULTS_CSV_HEADER):
                 raise ValueError(f"{path}: malformed row {row}")
+            if row[0] in first_row:
+                raise ValueError(
+                    f"{path}: row {reader.line_num}: duplicate clip_id "
+                    f"{row[0]!r} (first at row {first_row[row[0]]})"
+                )
+            first_row[row[0]] = reader.line_num
             out.append(TimbreDiffResult(
                 clip_id=row[0],
                 anomaly_score=float(row[1]),

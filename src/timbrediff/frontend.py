@@ -6,6 +6,7 @@ summaries and per-band analytic envelopes.  All functions are pure and
 deterministic; identical inputs give bit-identical outputs.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -220,10 +221,15 @@ def _kaiser_taper(u: np.ndarray) -> np.ndarray:
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Band-limited resampling with a 64-tap Kaiser-windowed sinc kernel.
+    """Polyphase resampling with a 64-tap Kaiser-windowed sinc kernel.
 
-    Duration is preserved to within one output sample.  Same-rate input is
-    returned unchanged.
+    With g = gcd(source, target), L = target / g and M = source / g, output
+    sample i sits at the exact input position i * M / L, computed in
+    integers.  Its kernel depends only on the phase (i * M) mod L, which
+    repeats every L outputs, so one table row is built per phase that
+    occurs (at most min(L, output length) rows), each normalized to unity
+    DC gain.  Duration is preserved to within one output sample.  Same-rate
+    input is returned unchanged.
     """
     if int(target_rate) <= 0:
         raise ValueError("target_rate must be positive")
@@ -233,25 +239,29 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
     src = clip.samples
     n_out = max(1, int(round(src.size * target_rate / clip.sample_rate)))
-    step = clip.sample_rate / target_rate           # input samples per output sample
+    g = math.gcd(target_rate, clip.sample_rate)
+    up, down = target_rate // g, clip.sample_rate // g
     cutoff = min(1.0, target_rate / clip.sample_rate)
     taps = np.arange(-_RESAMPLE_HALF_TAPS + 1, _RESAMPLE_HALF_TAPS + 1)
     padded = np.concatenate([
         np.zeros(_RESAMPLE_HALF_TAPS), src, np.zeros(_RESAMPLE_HALF_TAPS),
     ])
 
+    # Row r serves every output i with i % up == r: phase (r * down) % up.
+    frac = (np.arange(min(up, n_out), dtype=np.int64) * down % up) / up
+    offsets = taps[None, :] - frac[:, None]
+    table = cutoff * np.sinc(cutoff * offsets)
+    table *= _kaiser_taper(offsets / _RESAMPLE_HALF_TAPS)
+    table /= table.sum(axis=1, keepdims=True)  # unity DC gain per phase
+
+    # windows[b + 1] = padded[b + 1 : b + 65]: input samples b - 31 .. b + 32.
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps.size)
     out = np.empty(n_out)
     chunk = 65536
     for start in range(0, n_out, chunk):
-        idx_out = np.arange(start, min(start + chunk, n_out))
-        pos = idx_out * step
-        base = np.floor(pos).astype(np.int64)
-        offsets = taps[None, :] - (pos - base)[:, None]
-        kernel = cutoff * np.sinc(cutoff * offsets)
-        kernel *= _kaiser_taper(offsets / _RESAMPLE_HALF_TAPS)
-        kernel /= kernel.sum(axis=1, keepdims=True)  # unity DC gain per sample
-        gathered = padded[base[:, None] + taps[None, :] + _RESAMPLE_HALF_TAPS]
-        out[idx_out] = (gathered * kernel).sum(axis=1)
+        idx_out = np.arange(start, min(start + chunk, n_out), dtype=np.int64)
+        gathered = windows[idx_out * down // up + 1]
+        out[idx_out] = np.einsum("ij,ij->i", gathered, table[idx_out % up])
     return AudioClip(out, target_rate)
 
 

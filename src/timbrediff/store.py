@@ -111,6 +111,17 @@ def load_model(model_dir):
             f"{model_dir}: embedding count {len(embeddings)} does not match "
             f"config count {config['count']}"
         )
+    dim = embeddings[0].vector.size if embeddings else 0
+    if config["dim"] != dim:
+        raise ModelDirectoryError(
+            f"{model_dir}: config dim {config['dim']} does not match "
+            f"embedding dim {dim}"
+        )
+    if normalization.dim != dim:
+        raise ModelDirectoryError(
+            f"{model_dir}: {NORMALIZATION_NAME} dim {normalization.dim} does "
+            f"not match embedding dim {dim}"
+        )
     missing = [e.clip_id for e in embeddings if e.clip_id not in timbre_map]
     if missing:
         raise ModelDirectoryError(

@@ -8,7 +8,7 @@ from timbrediff.cli import main
 from timbrediff.dataset import load_manifest
 from timbrediff.detector import read_results_csv
 from timbrediff.embeddings import Embedding, import_embeddings, write_embeddings
-from timbrediff.store import load_model
+from timbrediff.store import ModelDirectoryError, load_model
 from timbrediff.synth import default_benchmark_specs, generate_dataset
 
 
@@ -109,6 +109,39 @@ def fitted(tiny_dataset, tmp_path_factory):
                "--audio-root", tiny_dataset, "--provider", "spectral",
                "--out", model) == 0
     return model
+
+
+class TestModelDimensions:
+    @pytest.fixture
+    def model_copy(self, fitted, tmp_path):
+        model = tmp_path / "m"
+        shutil.copytree(fitted, model)
+        return model
+
+    def test_config_dim_mismatch(self, model_copy):
+        config = json.loads((model_copy / "config.json").read_text())
+        dim = config["dim"]
+        config["dim"] = dim + 1
+        (model_copy / "config.json").write_text(json.dumps(config))
+        with pytest.raises(ModelDirectoryError) as info:
+            load_model(model_copy)
+        message = str(info.value)
+        assert str(model_copy) in message
+        assert f"config dim {dim + 1}" in message
+        assert f"embedding dim {dim}" in message
+
+    def test_normalization_dim_mismatch(self, model_copy):
+        path = model_copy / "normalization.json"
+        stats = json.loads(path.read_text())
+        dim = len(stats["mean"])
+        path.write_text(json.dumps({"mean": stats["mean"][:-1],
+                                    "std": stats["std"][:-1]}))
+        with pytest.raises(ModelDirectoryError) as info:
+            load_model(model_copy)
+        message = str(info.value)
+        assert str(model_copy) in message
+        assert f"normalization.json dim {dim - 1}" in message
+        assert f"embedding dim {dim}" in message
 
 
 class TestScoreCommand:
@@ -231,22 +264,8 @@ class TestGenGtAndEval:
 
     def test_eval_perfect_results(self, tmp_path):
         root = tmp_path
-        (root / "manifest.csv").write_text(
-            "clip_id,path,split,state,condition,cause,domain\n"
-            "tr0,p,train,normal,c1,,source\n"
-            "n0,p,test,normal,c1,,source\n"
-            "a0,p,test,anomalous,c1,q1,source\n")
-        (root / "gt.csv").write_text(
-            "condition,cause,attribute,score,label\n"
-            + "".join(f"c1,q1,{attr},1,1\n" for attr in
-                      ("sharpness", "roughness", "boominess",
-                       "brightness", "depth")))
-        (root / "results.csv").write_text(
-            "clip_id,anomaly_score,sharpness_score,roughness_score,"
-            "boominess_score,brightness_score,depth_score,sharpness_label,"
-            "roughness_label,boominess_label,brightness_label,depth_label\n"
-            "n0,0.1,0.5,0.5,0.5,0.5,0.5,0,0,0,0,0\n"
-            "a0,0.9,1,1,1,1,1,1,1,1,1,1\n")
+        write_eval_inputs(root, "n0,0.1,0.5,0.5,0.5,0.5,0.5,0,0,0,0,0\n"
+                                "a0,0.9,1,1,1,1,1,1,1,1,1,1\n")
         report_path = root / "report.json"
         assert run("eval", "--results", root / "results.csv",
                    "--gt", root / "gt.csv",
@@ -258,23 +277,43 @@ class TestGenGtAndEval:
         assert report["n_clips"] == 1
 
     def test_eval_missing_prediction_names_clip(self, tmp_path, capsys):
-        (tmp_path / "manifest.csv").write_text(
-            "clip_id,path,split,state,condition,cause,domain\n"
-            "tr0,p,train,normal,c1,,source\n"
-            "n0,p,test,normal,c1,,source\n"
-            "a0,p,test,anomalous,c1,q1,source\n")
-        (tmp_path / "gt.csv").write_text(
-            "condition,cause,attribute,score,label\n"
-            + "".join(f"c1,q1,{attr},1,1\n" for attr in
-                      ("sharpness", "roughness", "boominess",
-                       "brightness", "depth")))
-        (tmp_path / "results.csv").write_text(
-            "clip_id,anomaly_score,sharpness_score,roughness_score,"
-            "boominess_score,brightness_score,depth_score,sharpness_label,"
-            "roughness_label,boominess_label,brightness_label,depth_label\n"
-            "n0,0.1,0.5,0.5,0.5,0.5,0.5,0,0,0,0,0\n")
+        write_eval_inputs(tmp_path, "n0,0.1,0.5,0.5,0.5,0.5,0.5,0,0,0,0,0\n")
         assert run("eval", "--results", tmp_path / "results.csv",
                    "--gt", tmp_path / "gt.csv",
                    "--manifest", tmp_path / "manifest.csv",
                    "--out", tmp_path / "report.json") == 1
         assert "a0" in capsys.readouterr().err
+
+    def test_eval_duplicate_result_row_names_file_and_row(self, tmp_path,
+                                                         capsys):
+        write_eval_inputs(tmp_path, "n0,0.1,0.5,0.5,0.5,0.5,0.5,0,0,0,0,0\n"
+                                    "a0,0.9,1,1,1,1,1,1,1,1,1,1\n"
+                                    "n0,0.1,0.5,0.5,0.5,0.5,0.5,0,0,0,0,0\n")
+        results = tmp_path / "results.csv"
+        assert run("eval", "--results", results,
+                   "--gt", tmp_path / "gt.csv",
+                   "--manifest", tmp_path / "manifest.csv",
+                   "--out", tmp_path / "report.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{results}: row 4: duplicate clip_id 'n0'" in err
+        assert not (tmp_path / "report.json").exists()
+
+
+def write_eval_inputs(root, result_rows):
+    """Manifest, ground truth and results CSV for one normal/anomalous pair."""
+    (root / "manifest.csv").write_text(
+        "clip_id,path,split,state,condition,cause,domain\n"
+        "tr0,p,train,normal,c1,,source\n"
+        "n0,p,test,normal,c1,,source\n"
+        "a0,p,test,anomalous,c1,q1,source\n")
+    (root / "gt.csv").write_text(
+        "condition,cause,attribute,score,label\n"
+        + "".join(f"c1,q1,{attr},1,1\n" for attr in
+                  ("sharpness", "roughness", "boominess",
+                   "brightness", "depth")))
+    (root / "results.csv").write_text(
+        "clip_id,anomaly_score,sharpness_score,roughness_score,"
+        "boominess_score,brightness_score,depth_score,sharpness_label,"
+        "roughness_label,boominess_label,brightness_label,depth_label\n"
+        + result_rows)

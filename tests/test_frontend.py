@@ -1,9 +1,13 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from timbrediff.frontend import (
+    _RESAMPLE_HALF_TAPS,
     AudioClip,
     EmptyBandError,
     Spectrogram,
@@ -12,6 +16,7 @@ from timbrediff.frontend import (
     band_envelopes,
     bark_band_edges,
     bark_band_powers,
+    _kaiser_taper,
     load_wav,
     resample,
     save_wav,
@@ -148,6 +153,96 @@ class TestResample:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             resample(make_tone(440), 0)
+
+
+def _reference_resample(clip: AudioClip, target_rate: int) -> AudioClip:
+    """Oracle: the former resample, which built the kernel per output sample.
+
+    Output i sits at floor(i * step) in floating point, and the 64-tap
+    Kaiser-windowed sinc kernel is rebuilt for every output.
+    """
+    if int(target_rate) <= 0:
+        raise ValueError("target_rate must be positive")
+    target_rate = int(target_rate)
+    if target_rate == clip.sample_rate:
+        return clip
+
+    src = clip.samples
+    n_out = max(1, int(round(src.size * target_rate / clip.sample_rate)))
+    step = clip.sample_rate / target_rate           # input samples per output sample
+    cutoff = min(1.0, target_rate / clip.sample_rate)
+    taps = np.arange(-_RESAMPLE_HALF_TAPS + 1, _RESAMPLE_HALF_TAPS + 1)
+    padded = np.concatenate([
+        np.zeros(_RESAMPLE_HALF_TAPS), src, np.zeros(_RESAMPLE_HALF_TAPS),
+    ])
+
+    out = np.empty(n_out)
+    chunk = 65536
+    for start in range(0, n_out, chunk):
+        idx_out = np.arange(start, min(start + chunk, n_out))
+        pos = idx_out * step
+        base = np.floor(pos).astype(np.int64)
+        offsets = taps[None, :] - (pos - base)[:, None]
+        kernel = cutoff * np.sinc(cutoff * offsets)
+        kernel *= _kaiser_taper(offsets / _RESAMPLE_HALF_TAPS)
+        kernel /= kernel.sum(axis=1, keepdims=True)  # unity DC gain per sample
+        gathered = padded[base[:, None] + taps[None, :] + _RESAMPLE_HALF_TAPS]
+        out[idx_out] = (gathered * kernel).sum(axis=1)
+    return AudioClip(out, target_rate)
+
+
+def _uniform_clip(rate, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    return AudioClip(rng.uniform(-1.0, 1.0, n_samples), rate)
+
+
+ORACLE_RATE_PAIRS = [
+    (8000, 16000), (11025, 16000), (22050, 16000), (44100, 16000),
+    (48000, 16000), (16000, 22050), (16000, 48000),
+    (44101, 16000),  # gcd 1: the table holds only the phases used
+]
+ORACLE_CASES = ([(src, tgt, dur) for src, tgt in ORACLE_RATE_PAIRS
+                 for dur in (0.07, 1.0)]
+                + [(44100, 16000, 10.0)])
+
+
+class TestResampleMatchesReference:
+    @pytest.mark.parametrize("source_rate,target_rate,duration", ORACLE_CASES)
+    def test_rate_pairs(self, source_rate, target_rate, duration):
+        clip = _uniform_clip(source_rate, int(round(duration * source_rate)),
+                             seed=source_rate + target_rate)
+        out = resample(clip, target_rate).samples
+        ref = _reference_resample(clip, target_rate).samples
+        assert out.size == ref.size
+        assert np.abs(out - ref).max() <= 1e-9
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(source_rate=st.integers(1000, 96000),
+           target_rate=st.integers(1000, 96000),
+           n_samples=st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(source_rate=37120, target_rate=16000, n_samples=200, seed=0)
+    def test_property(self, source_rate, target_rate, n_samples, seed):
+        clip = _uniform_clip(source_rate, n_samples, seed)
+        out = resample(clip, target_rate).samples
+        if source_rate == target_rate:
+            assert np.array_equal(out, clip.samples)
+            return
+        n_out = max(1, round(n_samples * target_rate / source_rate))
+        assert out.size == n_out
+        ref = _reference_resample(clip, target_rate).samples
+        # The reference's float floor(i * step) can land one below an exact
+        # integer position i * M / L (37120 -> 16000 at i = 25: 25 * 2.32);
+        # its window then spans taps -32..31 instead of -31..32.  Those
+        # outputs differ by at most the two end taps' weight.
+        g = math.gcd(source_rate, target_rate)
+        i = np.arange(n_out, dtype=np.int64)
+        exact_base = i * (source_rate // g) // (target_rate // g)
+        float_base = np.floor(i * (source_rate / target_rate)).astype(np.int64)
+        same = exact_base == float_base
+        diff = np.abs(out - ref)
+        assert diff[same].max() <= 1e-9
+        assert np.all(diff[~same] <= 1e-4 * np.abs(clip.samples).max())
 
 
 class TestStftPower:
