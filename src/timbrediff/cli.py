@@ -8,6 +8,7 @@ files (and the gen-gt statistics JSON to standard output).
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,9 @@ from .dataset import (
 from .detector import (
     DEFAULT_K,
     DEFAULT_T,
-    ReferenceSet,
-    TimbreDiffResult,
     global_baseline_score,
     read_results_csv,
-    score_clip,
+    score_clips,
     write_results_csv,
 )
 from .embeddings import (
@@ -41,7 +40,7 @@ from .embeddings import (
     Embedding,
     TdceError,
     fit_normalization,
-    import_embeddings,
+    read_tdce,
     spectral_features,
 )
 from .evaluation import CoverageError, build_report, write_report_json
@@ -137,8 +136,7 @@ def _raw_training_features(args, entries):
     elif args.provider == SPECTRAL_PROVIDER:
         raw = spectral_rows
     else:
-        imported = {e.clip_id: e.vector
-                    for e in import_embeddings(args.embeddings)}
+        imported = dict(zip(*read_tdce(args.embeddings)))
         missing = [cid for cid in clip_ids if cid not in imported]
         if missing:
             raise ValueError(
@@ -190,9 +188,7 @@ def _query_embedding(config, ref, entry, clip, external_vectors):
 def cmd_score(args) -> int:
     ref, config = load_model(args.model)
     if args.distance:
-        kind = DistanceKind.parse(args.distance)
-        ref = ReferenceSet(ref.embeddings, ref.timbre_values, ref.clip_ids,
-                           ref.provider_id, kind, ref.normalization)
+        ref = replace(ref, distance_kind=DistanceKind.parse(args.distance))
     k = args.k if args.k is not None else int(config["k"])
     t = args.t if args.t is not None else float(config["t"])
 
@@ -202,29 +198,22 @@ def cmd_score(args) -> int:
             raise ValueError(
                 "model provider is 'external'; scoring requires --embeddings"
             )
-        external_vectors = {e.clip_id: e.vector
-                            for e in import_embeddings(args.embeddings)}
+        external_vectors = dict(zip(*read_tdce(args.embeddings)))
 
-    entries = load_manifest(args.manifest)
-    results = []
-    for entry in entries:
+    query_embeddings, query_timbres = [], []
+    for entry in load_manifest(args.manifest):
         if entry.split != "test":
             continue
         clip = _load_clip(args.audio_root, entry)
-        query_timbre = _stored_precision(compute_timbre_vector(clip))
-        query_emb = _query_embedding(config, ref, entry, clip,
-                                     external_vectors)
-        result = score_clip(ref, query_emb, query_timbre, k=k, t=t)
-        if args.baseline == "global":
+        query_timbres.append(_stored_precision(compute_timbre_vector(clip)))
+        query_embeddings.append(_query_embedding(config, ref, entry, clip,
+                                                 external_vectors))
+    results = score_clips(ref, query_embeddings, query_timbres, k=k, t=t)
+    if args.baseline == "global":
+        for i, query_timbre in enumerate(query_timbres):
             scores, labels = global_baseline_score(ref, query_timbre, t=t)
-            result = TimbreDiffResult(
-                clip_id=result.clip_id,
-                anomaly_score=result.anomaly_score,
-                attribute_scores=scores,
-                attribute_labels=labels,
-                neighbor_indices=result.neighbor_indices,
-            )
-        results.append(result)
+            results[i] = replace(results[i], attribute_scores=scores,
+                                 attribute_labels=labels)
 
     atomic_write(args.out, lambda p: write_results_csv(p, results))
     _log(f"score: {len(results)} test clips, k={k}, t={t}, "

@@ -18,21 +18,18 @@ from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES
 DEFAULT_K = 30
 DEFAULT_T = 0.1
 
+# kNN filter: unit roundoff (2**-52, twice float64's), bytes per [query
+# block x N] array, and the squared norm (2**54 x smallest normal float64)
+# below which underflow voids the bound.
+_U = float(np.finfo(np.float64).eps)
+_GRAM_BLOCK_BYTES = 25_000_000
+_NORM_SQ_FLOOR = 2.0 ** -968
+
 RESULTS_CSV_HEADER = (
     ["clip_id", "anomaly_score"]
     + [f"{name}_score" for name in ATTRIBUTE_NAMES]
     + [f"{name}_label" for name in ATTRIBUTE_NAMES]
 )
-
-
-@dataclass(frozen=True)
-class NeighborHit:
-    train_index: int
-    distance: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.distance):
-            raise ValueError("neighbor distance must be finite")
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ class ReferenceSet:
         emb = np.asarray(self.embeddings, dtype=np.float64)
         tim = np.asarray(self.timbre_values, dtype=np.float64)
         ids = tuple(self.clip_ids)
-        if emb.ndim != 2 or emb.shape[0] < 1:
+        if emb.ndim != 2 or emb.size == 0:
             raise ValueError("embeddings must be a non-empty [N x D] matrix")
         if tim.shape != (emb.shape[0], N_ATTRIBUTES):
             raise ValueError("timbre_values must be [N x 5], aligned with embeddings")
@@ -68,26 +65,6 @@ class ReferenceSet:
     @property
     def size(self) -> int:
         return self.embeddings.shape[0]
-
-    @classmethod
-    def from_embeddings(cls, embeddings, timbre_vectors, distance_kind,
-                        normalization) -> "ReferenceSet":
-        """Build from parallel lists of Embedding and TimbreVector."""
-        embeddings = list(embeddings)
-        timbre_vectors = list(timbre_vectors)
-        if not embeddings or len(embeddings) != len(timbre_vectors):
-            raise ValueError("need equal, nonzero counts of embeddings and timbre vectors")
-        providers = {e.provider_id for e in embeddings}
-        if len(providers) != 1:
-            raise ValueError(f"embeddings span multiple providers: {sorted(providers)}")
-        return cls(
-            embeddings=np.vstack([e.vector for e in embeddings]),
-            timbre_values=np.vstack([t.as_array() for t in timbre_vectors]),
-            clip_ids=tuple(e.clip_id for e in embeddings),
-            provider_id=providers.pop(),
-            distance_kind=distance_kind,
-            normalization=normalization,
-        )
 
 
 @dataclass(frozen=True)
@@ -115,28 +92,76 @@ class TimbreDiffResult:
                            np.asarray(self.neighbor_indices, dtype=int))
 
 
-def knn(ref: ReferenceSet, query: Embedding, k: int) -> list:
-    """The k nearest training samples, ascending distance, exact brute force.
+def _gram_candidates(matrix, queries, kind, k: int) -> list:
+    """Per query, the rows that may be among its k nearest, ascending.
 
-    Ties are broken toward the lower training index.
+    Kept: rows whose lower bound on distances_to's value is at most the
+    k-th smallest upper bound.  Bounds are the Gram form |x|^2 + |q|^2 -
+    2 x.q (Euclidean, squared) or 1 - x.q / (|x| |q|) (cosine), plus or
+    minus 2 (gamma_{D+2} + u) (|x| + |q|)^2 or 4 (gamma_{D+2} + u), with
+    u = 2**-52, gamma_n = n u / (1 - n u); README.md derives them.  The 4u
+    margins make a dropped row strictly farther than k kept rows.  Squared
+    norms under _NORM_SQ_FLOOR (zero vectors too) and NaNs get (0, inf).
     """
-    if query.provider_id != ref.provider_id:
-        raise ValueError(
-            f"provider mismatch: query {query.provider_id!r} vs reference {ref.provider_id!r}"
-        )
+    n = matrix.shape[1] + 2
+    radius = 2.0 * (n * _U / (1.0 - n * _U) + _U)
+    with np.errstate(all="ignore"):
+        x_sq = np.einsum("ij,ij->i", matrix, matrix)
+        q_sq = np.einsum("ij,ij->i", queries, queries)[:, None]
+        # In place where it matters: three [Q x N] arrays live at most.
+        centre = queries @ matrix.T
+        if kind is DistanceKind.EUCLIDEAN:
+            centre *= -2.0
+            centre += x_sq + q_sq
+            spread = radius * (np.sqrt(x_sq) + np.sqrt(q_sq)) ** 2
+        else:
+            centre /= np.sqrt(x_sq) * np.sqrt(q_sq)
+            np.subtract(1.0, centre, out=centre)
+            spread = np.full(centre.shape, 2.0 * radius)
+        spread[(x_sq < _NORM_SQ_FLOOR) | (q_sq < _NORM_SQ_FLOOR)] = np.inf
+        lower = np.subtract(centre, spread)
+        np.fmax(lower, 0.0, out=lower)
+        lower *= 1 - 4 * _U
+        centre += spread
+        upper = np.fmin(centre, np.inf, out=centre)
+        upper *= 1 + 4 * _U
+    upper.partition(k - 1, axis=1)              # only its k-th value is needed
+    return [np.flatnonzero(keep) for keep in lower <= upper[:, k - 1:k]]
+
+
+def knn(ref: ReferenceSet, queries, k: int):
+    """The k nearest training rows of each query Embedding, exact.
+
+    Returns [Q x k] (indices, distances): per query, bit for bit, the head
+    of a stable argsort of distances_to over all rows, so ties go to the
+    lower index.  A Gram pass over blocks of queries keeps candidate rows,
+    which are rescored with distances_to and stable-sorted in index order.
+    """
+    queries = list(queries)
+    dim = ref.embeddings.shape[1]
+    if any(q.provider_id != ref.provider_id or q.vector.size != dim for q in queries):
+        raise ValueError(f"queries must be {dim}-dim {ref.provider_id!r} embeddings")
     if not 1 <= k <= ref.size:
         raise ValueError(f"k must satisfy 1 <= k <= {ref.size}, got {k}")
-    dists = distances_to(ref.embeddings, query.vector, ref.distance_kind)
-    order = np.argsort(dists, kind="stable")[:k]
-    return [NeighborHit(int(i), float(dists[i])) for i in order]
+    indices = np.empty((len(queries), k), dtype=int)
+    distances = np.empty((len(queries), k))
+    block = max(1, _GRAM_BLOCK_BYTES // (8 * ref.size))
+    for start in range(0, len(queries), block):
+        vectors = np.array([q.vector for q in queries[start:start + block]])
+        candidates = _gram_candidates(ref.embeddings, vectors, ref.distance_kind, k)
+        for i, rows in enumerate(candidates, start):
+            dists = distances_to(ref.embeddings[rows], vectors[i - start],
+                                 ref.distance_kind)
+            order = np.argsort(dists, kind="stable")[:k]
+            indices[i], distances[i] = rows[order], dists[order]
+    return indices, distances
 
 
-def anomaly_score(hits) -> float:
-    """Mean distance over the neighbor hits."""
-    hits = list(hits)
-    if not hits:
+def anomaly_score(distances) -> float:
+    """Mean distance over the neighbors."""
+    if np.size(distances) == 0:
         raise ValueError("anomaly score needs at least one neighbor")
-    return float(np.mean([h.distance for h in hits]))
+    return float(np.mean(distances))
 
 
 def timbre_rank_score(test_value: float, neighbor_values) -> float:
@@ -169,36 +194,40 @@ def threshold_label(score: float, t: float) -> int:
     return 0
 
 
-def score_clip(ref: ReferenceSet, query_embedding: Embedding, query_timbre,
-               k: int = DEFAULT_K, t: float = DEFAULT_T) -> TimbreDiffResult:
-    """Joint anomaly score and per-attribute difference labels for one clip."""
-    hits = knn(ref, query_embedding, k)
-    indices = np.array([h.train_index for h in hits], dtype=int)
-    neighbor_timbre = ref.timbre_values[indices]
-    query_values = query_timbre.as_array()
+def _rank_and_label(query_values, reference_values, t: float):
+    """Per-attribute rank scores and labels of a query against timbre rows."""
     scores = np.array([
-        timbre_rank_score(query_values[col], neighbor_timbre[:, col])
-        for col in range(N_ATTRIBUTES)
-    ])
-    labels = np.array([threshold_label(s, t) for s in scores], dtype=int)
-    return TimbreDiffResult(
-        clip_id=query_embedding.clip_id,
-        anomaly_score=anomaly_score(hits),
-        attribute_scores=scores,
-        attribute_labels=labels,
-        neighbor_indices=indices,
-    )
-
-
-def global_baseline_score(ref: ReferenceSet, query_timbre, t: float = DEFAULT_T):
-    """Rank scores and labels against all training clips instead of neighbors."""
-    query_values = query_timbre.as_array()
-    scores = np.array([
-        timbre_rank_score(query_values[col], ref.timbre_values[:, col])
+        timbre_rank_score(query_values[col], reference_values[:, col])
         for col in range(N_ATTRIBUTES)
     ])
     labels = np.array([threshold_label(s, t) for s in scores], dtype=int)
     return scores, labels
+
+
+def score_clips(ref: ReferenceSet, query_embeddings, query_timbres,
+                k: int = DEFAULT_K, t: float = DEFAULT_T) -> list:
+    """score_clip for each query, all answered by one kNN search."""
+    query_embeddings = list(query_embeddings)
+    indices, distances = knn(ref, query_embeddings, k)
+    results = []
+    for emb, timbre, rows, dists in zip(query_embeddings, query_timbres,
+                                        indices, distances):
+        scores, labels = _rank_and_label(timbre.as_array(),
+                                         ref.timbre_values[rows], t)
+        results.append(TimbreDiffResult(emb.clip_id, anomaly_score(dists),
+                                        scores, labels, rows))
+    return results
+
+
+def score_clip(ref: ReferenceSet, query_embedding: Embedding, query_timbre,
+               k: int = DEFAULT_K, t: float = DEFAULT_T) -> TimbreDiffResult:
+    """Joint anomaly score and per-attribute difference labels for one clip."""
+    return score_clips(ref, [query_embedding], [query_timbre], k, t)[0]
+
+
+def global_baseline_score(ref: ReferenceSet, query_timbre, t: float = DEFAULT_T):
+    """Rank scores and labels against all training clips instead of neighbors."""
+    return _rank_and_label(query_timbre.as_array(), ref.timbre_values, t)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,8 @@ def distances_to(matrix: np.ndarray, query: np.ndarray,
     """Distance from each matrix row to the query vector.
 
     Rows bit-identical to the query get distance exactly 0 under both
-    kinds; a zero vector under cosine is assigned similarity 0.
+    kinds; a zero vector under cosine is assigned similarity 0.  No BLAS
+    call: a row's bits depend on it and the query alone, in any subset.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
@@ -164,23 +165,10 @@ def distances_to(matrix: np.ndarray, query: np.ndarray,
         denom = row_norms * query_norm
         sims = np.zeros(matrix.shape[0])
         ok = denom > 0.0
-        sims[ok] = (matrix[ok] @ query) / denom[ok]
+        sims[ok] = (matrix[ok] * query).sum(axis=1) / denom[ok]
         out = np.clip(1.0 - sims, 0.0, None)
     out[(matrix == query).all(axis=1)] = 0.0
     return out
-
-
-def distance(u: Embedding, v: Embedding, kind: DistanceKind) -> float:
-    """Distance between two embeddings of the same provider and dimension."""
-    if u.provider_id != v.provider_id:
-        raise ValueError(
-            f"provider mismatch: {u.provider_id!r} vs {v.provider_id!r}"
-        )
-    if u.vector.size != v.vector.size:
-        raise ValueError(
-            f"dimension mismatch: {u.vector.size} vs {v.vector.size}"
-        )
-    return float(distances_to(u.vector[None, :], v.vector, kind)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +201,8 @@ def write_embeddings(path, embeddings) -> None:
             writer.writerow([row, emb.clip_id])
 
 
-def import_embeddings(path, provider_id: str = EXTERNAL_PROVIDER) -> list:
-    """Read a TDCE file and its id sidecar into a list of Embedding."""
+def read_tdce(path):
+    """Read a TDCE file and its id sidecar into (clip ids, [count x dim] float64)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _TDCE_HEADER.size:
@@ -225,13 +213,13 @@ def import_embeddings(path, provider_id: str = EXTERNAL_PROVIDER) -> list:
     if version != TDCE_VERSION:
         raise TdceError(f"{path}: unsupported version {version}")
     expected = count * dim * 4
-    payload = raw[_TDCE_HEADER.size:]
-    if len(payload) < expected:
+    payload = len(raw) - _TDCE_HEADER.size
+    if payload < expected:
         raise TdceError(
-            f"{path}: truncated payload ({len(payload)} bytes, expected {expected})"
+            f"{path}: truncated payload ({payload} bytes, expected {expected})"
         )
-    if len(payload) > expected:
-        raise TdceError(f"{path}: {len(payload) - expected} trailing bytes")
+    if payload > expected:
+        raise TdceError(f"{path}: {payload - expected} trailing bytes")
 
     ids = []
     with open(_ids_path(path), newline="") as fh:
@@ -241,15 +229,18 @@ def import_embeddings(path, provider_id: str = EXTERNAL_PROVIDER) -> list:
             raise TdceError(f"{_ids_path(path)}: unexpected header {header}")
         for row in reader:
             if len(row) != 2 or row[0] != str(len(ids)):
-                raise TdceError(f"{_ids_path(path)}: malformed row {row}")
+                raise TdceError(f"{_ids_path(path)}: row {reader.line_num}: "
+                                f"malformed row {row}")
             ids.append(row[1])
     if len(ids) != count:
         raise TdceError(
             f"{path}: id count mismatch ({len(ids)} ids for {count} embeddings)"
         )
 
-    if count == 0:
-        return []
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
-    return [Embedding(vec.astype(np.float64), provider_id, clip_id)
-            for vec, clip_id in zip(vectors, ids)]
+    vectors = np.frombuffer(raw, "<f4", count * dim, _TDCE_HEADER.size)
+    return ids, vectors.reshape(count, dim).astype(np.float64)
+
+
+def import_embeddings(path, provider_id: str = EXTERNAL_PROVIDER) -> list:
+    """Read a TDCE file and its id sidecar into a list of Embedding."""
+    return [Embedding(vec, provider_id, cid) for cid, vec in zip(*read_tdce(path))]

@@ -15,10 +15,10 @@ from .detector import ReferenceSet
 from .embeddings import (
     DistanceKind,
     NormalizationStats,
-    import_embeddings,
+    read_tdce,
     write_embeddings,
 )
-from .timbre import read_timbre_csv, write_timbre_csv
+from .timbre import read_timbre_table, write_timbre_csv
 
 CONFIG_NAME = "config.json"
 EMBEDDINGS_NAME = "embeddings.tdce"
@@ -96,22 +96,28 @@ def load_model(model_dir):
         raise ModelDirectoryError(f"{model_dir}: missing {CONFIG_NAME}")
     with open(config_path) as fh:
         config = json.load(fh)
-    if config.get("format") != MODEL_FORMAT:
+    if not isinstance(config, dict) or config.get("format") != MODEL_FORMAT:
         raise ModelDirectoryError(f"{model_dir}: not a model directory")
+    missing = [key for key in ("provider", "distance", "k", "t", "count", "dim")
+               if key not in config]
+    if missing:
+        raise ModelDirectoryError(f"{config_path}: missing key {missing[0]!r}")
 
-    embeddings = import_embeddings(model_dir / EMBEDDINGS_NAME,
-                                   provider_id=config["provider"])
-    timbre_map = read_timbre_csv(model_dir / TIMBRE_NAME)
+    ids, vectors = read_tdce(model_dir / EMBEDDINGS_NAME)
+    timbre_ids, timbre_values = read_timbre_table(model_dir / TIMBRE_NAME)
     with open(model_dir / NORMALIZATION_NAME) as fh:
         norm_data = json.load(fh)
+    if not isinstance(norm_data, dict) or not {"mean", "std"} <= norm_data.keys():
+        raise ModelDirectoryError(
+            f"{model_dir / NORMALIZATION_NAME}: needs keys 'mean' and 'std'")
     normalization = NormalizationStats(norm_data["mean"], norm_data["std"])
 
-    if len(embeddings) != config["count"]:
+    count, dim = vectors.shape
+    if count != config["count"]:
         raise ModelDirectoryError(
-            f"{model_dir}: embedding count {len(embeddings)} does not match "
+            f"{model_dir}: embedding count {count} does not match "
             f"config count {config['count']}"
         )
-    dim = embeddings[0].vector.size if embeddings else 0
     if config["dim"] != dim:
         raise ModelDirectoryError(
             f"{model_dir}: config dim {config['dim']} does not match "
@@ -122,21 +128,18 @@ def load_model(model_dir):
             f"{model_dir}: {NORMALIZATION_NAME} dim {normalization.dim} does "
             f"not match embedding dim {dim}"
         )
-    missing = [e.clip_id for e in embeddings if e.clip_id not in timbre_map]
+    timbre_row = {clip_id: i for i, clip_id in enumerate(timbre_ids)}
+    missing = [clip_id for clip_id in ids if clip_id not in timbre_row]
     if missing:
         raise ModelDirectoryError(
             f"{model_dir}: clip {missing[0]!r} has embeddings but no timbre row"
         )
-    if len(timbre_map) != len(embeddings):
+    if len(timbre_ids) != count:
         raise ModelDirectoryError(
-            f"{model_dir}: timbre rows ({len(timbre_map)}) do not match "
-            f"embeddings ({len(embeddings)})"
+            f"{model_dir}: timbre rows ({len(timbre_ids)}) do not match "
+            f"embeddings ({count})"
         )
 
-    ref = ReferenceSet.from_embeddings(
-        embeddings,
-        [timbre_map[e.clip_id] for e in embeddings],
-        DistanceKind.parse(config["distance"]),
-        normalization,
-    )
-    return ref, config
+    timbre = timbre_values[[timbre_row[clip_id] for clip_id in ids]]
+    return ReferenceSet(vectors, timbre, tuple(ids), config["provider"],
+                        DistanceKind.parse(config["distance"]), normalization), config

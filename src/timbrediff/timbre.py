@@ -67,17 +67,9 @@ class TimbreVector:
     depth: float
 
     def __post_init__(self):
-        values = self.as_array()
-        if not np.all(np.isfinite(values)):
-            raise ValueError("timbre values must be finite")
-        if not 0.0 <= self.boominess <= 1.0:
-            raise ValueError("boominess must lie in [0, 1]")
-        if not 0.0 <= self.depth <= 1.0:
-            raise ValueError("depth must lie in [0, 1]")
-        if self.roughness < 0.0 or self.sharpness < 0.0:
-            raise ValueError("roughness and sharpness must be nonnegative")
-        if self.brightness <= 0.0:
-            raise ValueError("brightness must be positive")
+        problem = _timbre_violation(self.as_array()[None, :])
+        if problem is not None:
+            raise ValueError(problem[1])
 
     def as_array(self) -> np.ndarray:
         return np.array([self.sharpness, self.roughness, self.boominess,
@@ -91,11 +83,23 @@ class TimbreVector:
         return cls(*map(float, values))
 
 
-def _checked_spectrogram(clip: AudioClip) -> Spectrogram:
-    spec = stft_power(clip)
-    if spec.power.sum() <= SILENCE_POWER_FLOOR:
-        raise SilentClipError("silent input: total framed power below threshold")
-    return spec
+# TimbreVector's invariants as (message, rows of [N x 5] breaking it).
+_TIMBRE_RULES = (
+    ("timbre values must be finite", lambda v: ~np.isfinite(v).all(axis=1)),
+    ("boominess must lie in [0, 1]", lambda v: ~((v[:, 2] >= 0.0) & (v[:, 2] <= 1.0))),
+    ("depth must lie in [0, 1]", lambda v: ~((v[:, 4] >= 0.0) & (v[:, 4] <= 1.0))),
+    ("roughness and sharpness must be nonnegative",
+     lambda v: (v[:, 1] < 0.0) | (v[:, 0] < 0.0)),
+    ("brightness must be positive", lambda v: ~(v[:, 3] > 0.0)),
+)
+
+
+def _timbre_violation(values: np.ndarray):
+    """(row, message) for the first [N x 5] row breaking an invariant, or None."""
+    broken = np.array([rule(values) for _, rule in _TIMBRE_RULES])
+    rows = np.flatnonzero(broken.any(axis=0))
+    if rows.size:
+        return int(rows[0]), _TIMBRE_RULES[int(np.argmax(broken[:, rows[0]]))][0]
 
 
 def _specific_loudness(spec: Spectrogram) -> np.ndarray:
@@ -118,22 +122,17 @@ def _sharpness(loudness: np.ndarray) -> float:
         1.0,
         np.exp(SHARPNESS_GROWTH * (bands - SHARPNESS_KNEE_BAND)),
     )
-    denom = loudness.sum()
-    if denom <= 0.0:
-        raise SilentClipError("no energy inside the analysis bands")
-    return float((loudness * weights * bands).sum() / denom)
+    return float((loudness * weights * bands).sum() / loudness.sum())
 
 
 def _boominess(loudness: np.ndarray) -> float:
-    denom = loudness.sum()
-    if denom <= 0.0:
-        raise SilentClipError("no energy inside the analysis bands")
-    return float(loudness[:BOOM_BAND_COUNT].sum() / denom)
+    # A ratio of a part to its whole can round past 1 when the part is all.
+    return min(1.0, float(loudness[:BOOM_BAND_COUNT].sum() / loudness.sum()))
 
 
 def _depth(spec: Spectrogram) -> float:
     low = spec.bin_freqs < DEPTH_CUTOFF_HZ
-    return float(spec.power[:, low].sum() / spec.power.sum())
+    return min(1.0, float(spec.power[:, low].sum() / spec.power.sum()))
 
 
 def _roughness(clip: AudioClip, loudness: np.ndarray) -> float:
@@ -151,40 +150,7 @@ def _roughness(clip: AudioClip, loudness: np.ndarray) -> float:
 
     mod_rms = np.sqrt((modulation ** 2).mean(axis=1))
     mod_index = mod_rms / (envelopes.mean(axis=1) + 1e-12)
-    denom = loudness.sum()
-    if denom <= 0.0:
-        raise SilentClipError("no energy inside the analysis bands")
-    return float((loudness * mod_index).sum() / denom)
-
-
-def brightness(clip: AudioClip) -> float:
-    """Power-weighted spectral centroid in Hz."""
-    return _brightness(_checked_spectrogram(clip))
-
-
-def sharpness(clip: AudioClip) -> float:
-    """Loudness-weighted mean Bark band index, upper bands overweighted."""
-    return _sharpness(_specific_loudness(_checked_spectrogram(clip)))
-
-
-def boominess(clip: AudioClip) -> float:
-    """Fraction of specific loudness in the lowest three Bark bands."""
-    return _boominess(_specific_loudness(_checked_spectrogram(clip)))
-
-
-def depth(clip: AudioClip) -> float:
-    """Fraction of spectral power below 200 Hz."""
-    return _depth(_checked_spectrogram(clip))
-
-
-def roughness(clip: AudioClip) -> float:
-    """Loudness-weighted 30-150 Hz modulation index of Bark-band envelopes."""
-    if clip.duration < MIN_ROUGHNESS_DURATION:
-        raise ClipTooShortError(
-            f"roughness needs at least {MIN_ROUGHNESS_DURATION} s of audio"
-        )
-    spec = _checked_spectrogram(clip)
-    return _roughness(clip, _specific_loudness(spec))
+    return float((loudness * mod_index).sum() / loudness.sum())
 
 
 def compute_timbre_vector(clip: AudioClip) -> TimbreVector:
@@ -193,8 +159,12 @@ def compute_timbre_vector(clip: AudioClip) -> TimbreVector:
         raise ClipTooShortError(
             f"timbre extraction needs at least {MIN_ROUGHNESS_DURATION} s of audio"
         )
-    spec = _checked_spectrogram(clip)
+    spec = stft_power(clip)
+    if spec.power.sum() <= SILENCE_POWER_FLOOR:
+        raise SilentClipError("silent input: total framed power below threshold")
     loudness = _specific_loudness(spec)
+    if loudness.sum() <= 0.0:
+        raise SilentClipError("no energy inside the analysis bands")
     return TimbreVector(
         sharpness=_sharpness(loudness),
         roughness=_roughness(clip, loudness),
@@ -217,9 +187,10 @@ def write_timbre_csv(path, rows) -> None:
             writer.writerow([clip_id] + [f"{v:.9g}" for v in vec.as_array()])
 
 
-def read_timbre_csv(path) -> dict:
-    """Read a timbre CSV back into {clip_id: TimbreVector}, preserving order."""
-    out = {}
+def read_timbre_table(path):
+    """Read a timbre CSV into (clip ids, [N x 5] values), checked as TimbreVector."""
+    first_row = {}                  # clip_id -> CSV row, the header being 1
+    values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -227,8 +198,25 @@ def read_timbre_csv(path) -> dict:
             raise ValueError(f"{path}: unexpected timbre CSV header {header}")
         for row in reader:
             if len(row) != len(TIMBRE_CSV_HEADER):
-                raise ValueError(f"{path}: malformed row {row}")
-            if row[0] in out:
-                raise ValueError(f"{path}: duplicate clip_id {row[0]!r}")
-            out[row[0]] = TimbreVector(*map(float, row[1:]))
-    return out
+                raise ValueError(f"{path}: row {reader.line_num}: malformed row {row}")
+            if row[0] in first_row:
+                raise ValueError(
+                    f"{path}: row {reader.line_num}: duplicate clip_id "
+                    f"{row[0]!r} (first at row {first_row[row[0]]})"
+                )
+            first_row[row[0]] = reader.line_num
+            try:
+                values.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
+    values = np.array(values, dtype=np.float64).reshape(-1, N_ATTRIBUTES)
+    problem = _timbre_violation(values)
+    if problem is not None:
+        line = list(first_row.values())[problem[0]]
+        raise ValueError(f"{path}: row {line}: {problem[1]}")
+    return list(first_row), values
+
+
+def read_timbre_csv(path) -> dict:
+    """Read a timbre CSV back into {clip_id: TimbreVector}, preserving order."""
+    return {cid: TimbreVector.from_array(row) for cid, row in zip(*read_timbre_table(path))}

@@ -265,9 +265,10 @@ def test_c08_self_match_zero_score_and_labels(default_benchmark,
     stats = fit_normalization([features[e.clip_id] for e in train])
     embeddings = [Embedding((features[e.clip_id] - stats.mean) / stats.std,
                             "spectral", e.clip_id) for e in train]
-    ref = ReferenceSet.from_embeddings(
-        embeddings, [timbre[e.clip_id] for e in train],
-        DistanceKind.EUCLIDEAN, stats)
+    ref = ReferenceSet(
+        np.vstack([e.vector for e in embeddings]),
+        np.vstack([timbre[e.clip_id].as_array() for e in train]),
+        [e.clip_id for e in train], "spectral", DistanceKind.EUCLIDEAN, stats)
     rng = np.random.default_rng(808)
     probes = rng.choice(len(train), size=10, replace=False)
     for index in probes:

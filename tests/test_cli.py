@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -111,13 +112,14 @@ def fitted(tiny_dataset, tmp_path_factory):
     return model
 
 
-class TestModelDimensions:
-    @pytest.fixture
-    def model_copy(self, fitted, tmp_path):
-        model = tmp_path / "m"
-        shutil.copytree(fitted, model)
-        return model
+@pytest.fixture
+def model_copy(fitted, tmp_path):
+    model = tmp_path / "m"
+    shutil.copytree(fitted, model)
+    return model
 
+
+class TestModelDimensions:
     def test_config_dim_mismatch(self, model_copy):
         config = json.loads((model_copy / "config.json").read_text())
         dim = config["dim"]
@@ -142,6 +144,57 @@ class TestModelDimensions:
         assert str(model_copy) in message
         assert f"normalization.json dim {dim - 1}" in message
         assert f"embedding dim {dim}" in message
+
+
+class TestModelFileErrors:
+    """A damaged model fails `score` with a message naming file and row."""
+
+    def score_error(self, tiny_dataset, model, tmp_path, capsys):
+        code = run("score", "--model", model,
+                   "--manifest", tiny_dataset / "manifest.csv",
+                   "--audio-root", tiny_dataset, "--out", tmp_path / "r.csv")
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ")
+        return err
+
+    @pytest.mark.parametrize("key", ["provider", "distance", "k", "t", "count", "dim"])
+    def test_missing_config_key(self, tiny_dataset, model_copy, tmp_path,
+                                capsys, key):
+        path = model_copy / "config.json"
+        config = json.loads(path.read_text())
+        del config[key]
+        path.write_text(json.dumps(config))
+        with pytest.raises(ModelDirectoryError,
+                           match=re.escape(f"{path}: missing key '{key}'")):
+            load_model(model_copy)
+        assert f"{path}: missing key '{key}'" in self.score_error(
+            tiny_dataset, model_copy, tmp_path, capsys)
+
+    def test_missing_normalization_key(self, model_copy):
+        path = model_copy / "normalization.json"
+        stats = json.loads(path.read_text())
+        path.write_text(json.dumps({"mean": stats["mean"]}))
+        with pytest.raises(ModelDirectoryError, match=re.escape(f"{path}: needs keys")):
+            load_model(model_copy)
+
+    def test_timbre_value_out_of_range(self, tiny_dataset, model_copy,
+                                       tmp_path, capsys):
+        path = model_copy / "timbre.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[5] = "1.5"                                   # depth
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        err = self.score_error(tiny_dataset, model_copy, tmp_path, capsys)
+        assert f"{path}: row 3: depth must lie in [0, 1]" in err
+
+    def test_tdce_sidecar_row(self, tiny_dataset, model_copy, tmp_path, capsys):
+        path = model_copy / "embeddings.tdce.ids.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = "7," + lines[4].split(",", 1)[1]        # row index out of order
+        path.write_text("\n".join(lines) + "\n")
+        err = self.score_error(tiny_dataset, model_copy, tmp_path, capsys)
+        assert f"{path}: row 5: malformed row" in err
 
 
 class TestScoreCommand:

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from timbrediff import detector
 from timbrediff.detector import (
-    NeighborHit,
     ReferenceSet,
     anomaly_score,
     global_baseline_score,
@@ -13,7 +17,12 @@ from timbrediff.detector import (
     timbre_rank_score,
     write_results_csv,
 )
-from timbrediff.embeddings import DistanceKind, Embedding, NormalizationStats
+from timbrediff.embeddings import (
+    DistanceKind,
+    Embedding,
+    NormalizationStats,
+    distances_to,
+)
 from timbrediff.timbre import TimbreVector
 
 
@@ -43,55 +52,117 @@ def make_query(vector, clip_id="q"):
                      "p", clip_id)
 
 
+def knn_one(ref, query, k):
+    """(indices, distances) of a single query's k nearest rows."""
+    indices, distances = knn(ref, [query], k)
+    return indices[0], distances[0]
+
+
 class TestKnn:
     def test_exact_match(self):
         ref = make_ref([[0.0], [1.0], [10.0]])
-        hits = knn(ref, make_query([1.0]), 1)
-        assert hits[0].train_index == 1
-        assert hits[0].distance == 0.0
+        indices, distances = knn_one(ref, make_query([1.0]), 1)
+        assert indices[0] == 1
+        assert distances[0] == 0.0
 
     def test_two_nearest(self):
         ref = make_ref([[0.0], [1.0], [10.0]])
-        hits = knn(ref, make_query([0.4]), 2)
-        assert [(h.train_index, h.distance) for h in hits] == [(0, 0.4), (1, 0.6)]
+        indices, distances = knn_one(ref, make_query([0.4]), 2)
+        assert list(zip(indices, distances)) == [(0, 0.4), (1, 0.6)]
 
     def test_tie_breaks_to_lower_index(self):
         ref = make_ref([[0.0], [3.0], [5.0], [9.0], [1.0], [5.0]])
-        hits = knn(ref, make_query([5.0]), 1)
-        assert hits[0].train_index == 2
+        indices, _ = knn_one(ref, make_query([5.0]), 1)
+        assert indices[0] == 2
 
     def test_k_out_of_range(self):
         ref = make_ref([[0.0], [1.0]])
         with pytest.raises(ValueError):
-            knn(ref, make_query([0.0]), 3)
+            knn(ref, [make_query([0.0])], 3)
         with pytest.raises(ValueError):
-            knn(ref, make_query([0.0]), 0)
+            knn(ref, [make_query([0.0])], 0)
 
     def test_provider_mismatch(self):
         ref = make_ref([[0.0]])
         with pytest.raises(ValueError):
-            knn(ref, Embedding(np.zeros(1), "other"), 1)
+            knn(ref, [Embedding(np.zeros(1), "other")], 1)
+
+
+class TestBatchedSearch:
+    """knn equals the full stable sort of distances_to, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_full_stable_sort(self, data):
+        kind = data.draw(st.sampled_from(list(DistanceKind)))
+        n = data.draw(st.integers(1, 24))
+        dim = data.draw(st.integers(1, 5))
+        # A small grid of values repeats rows and ties distances, also at
+        # the k-th; the offset makes large-norm rows, where the Gram form
+        # cancels catastrophically; scales give zero vectors (0) and squares
+        # that underflow (1e-160 to 1e-152), and queries may use their own.
+        cell = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 0.3, -1.7])
+        grid = st.lists(cell, min_size=dim, max_size=dim)
+        scales = st.sampled_from([0.0, 1e-160, 1e-155, 1e-152, 1e-3, 1.0, 1e6])
+        scale = data.draw(scales)
+        offset = data.draw(st.sampled_from([0.0, 0.0, 1e8]))
+        rows = np.array([data.draw(grid) for _ in range(n)]) * scale + offset
+        queries = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            source = data.draw(st.sampled_from(["row", "zero", "grid"]))
+            if source == "row":                     # exact self-match
+                queries.append(rows[data.draw(st.integers(0, n - 1))].copy())
+            elif source == "zero":
+                queries.append(np.zeros(dim))
+            else:
+                queries.append(np.array(data.draw(grid)) * data.draw(scales) + offset)
+        k = data.draw(st.integers(1, n))
+        block_bytes = data.draw(st.sampled_from([8, detector._GRAM_BLOCK_BYTES]))
+        ref = make_ref(rows, kind=kind)
+        with mock.patch.object(detector, "_GRAM_BLOCK_BYTES", block_bytes):
+            indices, distances = knn(ref, [make_query(q) for q in queries], k)
+        for query, got_indices, got_distances in zip(queries, indices, distances):
+            full = distances_to(rows, query, kind)
+            order = np.argsort(full, kind="stable")[:k]
+            np.testing.assert_array_equal(got_indices, order)
+            assert got_distances.tobytes() == full[order].tobytes()
+
+    def test_filter_keeps_few_rows(self):
+        # Continuous data has no ties: the bounds are ~1e-13 relative, so
+        # the rescored set should be the k neighbours themselves.
+        rng = np.random.default_rng(61)
+        rows = rng.standard_normal((2000, 8))
+        queries = rng.standard_normal((5, 8))
+        for kind in DistanceKind:
+            candidates = detector._gram_candidates(rows, queries, kind, 10)
+            assert max(len(c) for c in candidates) <= 12
+
+    def test_no_queries(self):
+        indices, distances = knn(make_ref([[0.0], [1.0]]), [], 1)
+        assert indices.shape == distances.shape == (0, 1)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            knn(make_ref([[0.0, 1.0]]), [make_query([0.0])], 1)
 
 
 class TestAnomalyScore:
     def test_mean_of_two(self):
-        hits = [NeighborHit(0, 1.0), NeighborHit(1, 3.0)]
-        assert anomaly_score(hits) == 2.0
+        assert anomaly_score(np.array([1.0, 3.0])) == 2.0
 
     def test_self_match_zero(self):
         ref = make_ref([[2.0], [5.0]])
-        hits = knn(ref, make_query([2.0]), 1)
-        assert anomaly_score(hits) == 0.0
+        _, distances = knn_one(ref, make_query([2.0]), 1)
+        assert anomaly_score(distances) == 0.0
 
     def test_matches_mean_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             dists = rng.uniform(0, 10, rng.integers(1, 40))
-            hits = [NeighborHit(i, d) for i, d in enumerate(dists)]
             total = 0.0
             for d in dists:
                 total += d
-            assert abs(anomaly_score(hits) - total / len(dists)) < 1e-12
+            assert abs(anomaly_score(dists) - total / len(dists)) < 1e-12
 
     def test_empty(self):
         with pytest.raises(ValueError):

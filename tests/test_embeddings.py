@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from timbrediff.embeddings import (
     Embedding,
     NormalizationStats,
     TdceError,
-    distance,
     distances_to,
     embed_spectral,
     embed_timbre,
@@ -117,14 +118,17 @@ class TestFitNormalization:
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-6)
 
 
+def distance(u, v, kind):
+    """Distance between two vectors, through the one-row matrix form."""
+    return float(distances_to(np.asarray(u, dtype=np.float64)[None, :], v, kind)[0])
+
+
 class TestDistance:
     def euclid(self, u, v):
-        return distance(Embedding(u, "p"), Embedding(v, "p"),
-                        DistanceKind.EUCLIDEAN)
+        return distance(u, v, DistanceKind.EUCLIDEAN)
 
     def cosine(self, u, v):
-        return distance(Embedding(u, "p"), Embedding(v, "p"),
-                        DistanceKind.COSINE)
+        return distance(u, v, DistanceKind.COSINE)
 
     def test_identity_is_exact_zero(self):
         v = np.array([0.3, -1.7, 2.2])
@@ -152,8 +156,8 @@ class TestDistance:
             u = rng.normal(size=6)
             v = rng.normal(size=6)
             for kind in DistanceKind:
-                d1 = distance(Embedding(u, "p"), Embedding(v, "p"), kind)
-                d2 = distance(Embedding(v, "p"), Embedding(u, "p"), kind)
+                d1 = distance(u, v, kind)
+                d2 = distance(v, u, kind)
                 assert d1 == d2
 
     def test_triangle_inequality(self):
@@ -172,27 +176,23 @@ class TestDistance:
             assert abs(self.cosine(u * 3.7, v) - base) < 1e-9
             assert abs(self.cosine(u, v * 0.01) - base) < 1e-9
 
-    def test_provider_mismatch(self):
-        with pytest.raises(ValueError):
-            distance(Embedding(np.ones(3), "a"), Embedding(np.ones(3), "b"),
-                     DistanceKind.EUCLIDEAN)
-
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            distance(Embedding(np.ones(3), "p"), Embedding(np.ones(4), "p"),
-                     DistanceKind.EUCLIDEAN)
+        for kind in DistanceKind:
+            with pytest.raises(ValueError):
+                distance(np.ones(3), np.ones(4), kind)
 
     def test_batch_matches_scalar(self):
-        # BLAS reductions may round differently between the matrix and the
-        # single-row paths, so agreement is to precision, not bitwise.
+        # No BLAS call, so each row's value is the same bits alone or in
+        # any batch: the kNN search relies on this to rescore a subset.
         rng = np.random.default_rng(19)
         matrix = rng.normal(size=(20, 4))
         q = rng.normal(size=4)
         for kind in DistanceKind:
             batch = distances_to(matrix, q, kind)
-            singles = [distance(Embedding(row, "p"), Embedding(q, "p"), kind)
-                       for row in matrix]
-            np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-15)
+            singles = [distance(row, q, kind) for row in matrix]
+            np.testing.assert_array_equal(batch, singles)
+            np.testing.assert_array_equal(batch[5:13],
+                                          distances_to(matrix[5:13], q, kind))
 
 
 class TestTdceFormat:
@@ -241,6 +241,14 @@ class TestTdceFormat:
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
         with pytest.raises(TdceError, match="magic"):
+            import_embeddings(path)
+
+    def test_bad_sidecar_row_names_file_and_row(self, tmp_path):
+        path = tmp_path / "emb.tdce"
+        write_embeddings(path, self.embeddings(3, 2))
+        ids = tmp_path / "emb.tdce.ids.csv"
+        ids.write_text("row,clip_id\n0,a\n2,b\n1,c\n")
+        with pytest.raises(TdceError, match=re.escape(f"{ids}: row 3: malformed row")):
             import_embeddings(path)
 
     def test_id_count_mismatch(self, tmp_path):

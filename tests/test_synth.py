@@ -142,11 +142,11 @@ class TestBenchmarkInvariants:
         timbre, features = benchmark_features
         train = [e for e in default_benchmark.manifest if e.split == "train"]
         stats = fit_normalization([features[e.clip_id] for e in train])
-        ref = ReferenceSet.from_embeddings(
-            [Embedding((features[e.clip_id] - stats.mean) / stats.std,
-                       "spectral", e.clip_id) for e in train],
-            [timbre[e.clip_id] for e in train],
-            DistanceKind.EUCLIDEAN, stats)
+        ref = ReferenceSet(
+            np.vstack([(features[e.clip_id] - stats.mean) / stats.std
+                       for e in train]),
+            np.vstack([timbre[e.clip_id].as_array() for e in train]),
+            [e.clip_id for e in train], "spectral", DistanceKind.EUCLIDEAN, stats)
         train_conditions = [e.condition_id for e in train]
         for entry in default_benchmark.manifest:
             if entry.split != "test" or entry.state != "normal":
@@ -154,9 +154,9 @@ class TestBenchmarkInvariants:
             query = Embedding(
                 (features[entry.clip_id] - stats.mean) / stats.std,
                 "spectral", entry.clip_id)
-            hits = knn(ref, query, 10)
-            same = np.mean([train_conditions[h.train_index] == entry.condition_id
-                            for h in hits])
+            indices, _ = knn(ref, [query], 10)
+            same = np.mean([train_conditions[i] == entry.condition_id
+                            for i in indices[0]])
             assert same >= 0.8, entry.clip_id
 
     def test_perturbations_shift_metric_medians(self, default_benchmark,

@@ -9,13 +9,9 @@ from timbrediff.timbre import (
     SilentClipError,
     TimbreAttribute,
     TimbreVector,
-    boominess,
-    brightness,
     compute_timbre_vector,
-    depth,
     read_timbre_csv,
-    roughness,
-    sharpness,
+    read_timbre_table,
     write_timbre_csv,
 )
 
@@ -51,31 +47,35 @@ class TestAttributeModel:
 
 class TestBrightness:
     def test_pure_tone_centroid(self):
-        assert abs(brightness(make_tone(1000)) - 1000.0) < 5.0
+        assert abs(compute_timbre_vector(make_tone(1000)).brightness - 1000.0) < 5.0
 
     def test_scale_invariance(self):
         clip = make_tone(1000)
         half = AudioClip(clip.samples * 0.5, clip.sample_rate)
-        assert brightness(clip) == pytest.approx(brightness(half), rel=1e-12)
+        assert compute_timbre_vector(clip).brightness == pytest.approx(
+            compute_timbre_vector(half).brightness, rel=1e-12)
 
     def test_two_tone_centroid(self):
-        assert abs(brightness(two_tone_clip(1000, 3000)) - 2000.0) < 20.0
+        vec = compute_timbre_vector(two_tone_clip(1000, 3000))
+        assert abs(vec.brightness - 2000.0) < 20.0
 
     def test_silent_error(self):
         with pytest.raises(SilentClipError):
-            brightness(AudioClip(np.zeros(16000), CANONICAL_RATE))
+            compute_timbre_vector(AudioClip(np.zeros(16000), CANONICAL_RATE))
 
 
 class TestSharpness:
     def test_high_band_noise_sharper_than_low(self):
         high = bandlimited_noise(1, 3700, 4400)   # inside band 18
         low = bandlimited_noise(1, 200, 300)      # inside band 3
-        assert sharpness(high) > sharpness(low)
+        assert (compute_timbre_vector(high).sharpness
+                > compute_timbre_vector(low).sharpness)
 
     def test_scale_invariance(self):
         clip = bandlimited_noise(2, 500, 4000)
         doubled = AudioClip(clip.samples * 2.0, clip.sample_rate)
-        assert sharpness(doubled) == pytest.approx(sharpness(clip), rel=1e-9)
+        assert compute_timbre_vector(doubled).sharpness == pytest.approx(
+            compute_timbre_vector(clip).sharpness, rel=1e-9)
 
     def test_single_band_degenerate_mean(self):
         # Bin-exact tone at 437.5 Hz: Hann spreads to 421.9-453.1 Hz, all
@@ -83,17 +83,17 @@ class TestSharpness:
         # FFT roundoff leaves ~1e-6 relative loudness in other bands, which
         # the compressive exponent keeps visible at the 1e-4 level.
         clip = make_tone(28 * BIN_HZ)
-        assert sharpness(clip) == pytest.approx(5.0, abs=1e-3)
+        assert compute_timbre_vector(clip).sharpness == pytest.approx(5.0, abs=1e-3)
 
 
 class TestRoughness:
     def test_unmodulated_tone_smooth(self):
-        assert roughness(make_tone(1000)) < 0.02
+        assert compute_timbre_vector(make_tone(1000)).roughness < 0.02
 
     def test_am_tone_much_rougher(self):
-        plain = roughness(make_tone(1000))
-        modulated = roughness(make_tone(1000, amplitude=0.4, am_freq=70,
-                                        am_depth=1.0))
+        plain = compute_timbre_vector(make_tone(1000)).roughness
+        modulated = compute_timbre_vector(
+            make_tone(1000, amplitude=0.4, am_freq=70, am_depth=1.0)).roughness
         assert modulated > 5 * max(plain, 0.02 / 5)
         assert modulated > 0.3
 
@@ -102,24 +102,25 @@ class TestRoughness:
 
         clip = make_noise(4)  # full-band: every Bark band carries energy
         quarter = AudioClip(clip.samples * 0.25, clip.sample_rate)
-        assert roughness(quarter) == pytest.approx(roughness(clip), rel=1e-9)
+        assert compute_timbre_vector(quarter).roughness == pytest.approx(
+            compute_timbre_vector(clip).roughness, rel=1e-9)
 
     def test_too_short(self):
         with pytest.raises(ClipTooShortError):
-            roughness(make_tone(1000, duration=0.2))
+            compute_timbre_vector(make_tone(1000, duration=0.2))
 
     def test_silent(self):
         with pytest.raises(SilentClipError):
-            roughness(AudioClip(np.zeros(16000), CANONICAL_RATE))
+            compute_timbre_vector(AudioClip(np.zeros(16000), CANONICAL_RATE))
 
 
 class TestBoominess:
     def test_low_tone_boomy(self):
         # Bin-exact 156.25 Hz keeps all Hann spread inside 100-200 Hz.
-        assert boominess(make_tone(10 * BIN_HZ)) >= 0.95
+        assert compute_timbre_vector(make_tone(10 * BIN_HZ)).boominess >= 0.95
 
     def test_high_tone_not_boomy(self):
-        assert boominess(make_tone(4000)) <= 0.05
+        assert compute_timbre_vector(make_tone(4000)).boominess <= 0.05
 
     def test_low_shelf_increases(self):
         from timbrediff.synth import low_shelf
@@ -128,18 +129,20 @@ class TestBoominess:
         shelved = AudioClip(
             apply_transform(clip.samples, clip.sample_rate, low_shelf(300.0, 12.0)),
             clip.sample_rate)
-        assert boominess(shelved) > boominess(clip)
+        assert (compute_timbre_vector(shelved).boominess
+                > compute_timbre_vector(clip).boominess)
 
 
 class TestDepth:
     def test_low_tone_deep(self):
-        assert depth(make_tone(100)) >= 0.95
+        assert compute_timbre_vector(make_tone(100)).depth >= 0.95
 
     def test_high_tone_shallow(self):
-        assert depth(make_tone(1000)) <= 0.05
+        assert compute_timbre_vector(make_tone(1000)).depth <= 0.05
 
     def test_equal_power_mix(self):
-        assert depth(two_tone_clip(100, 1000)) == pytest.approx(0.5, abs=0.05)
+        assert compute_timbre_vector(two_tone_clip(100, 1000)).depth == pytest.approx(
+            0.5, abs=0.05)
 
 
 class TestComputeTimbreVector:
@@ -169,15 +172,6 @@ class TestComputeTimbreVector:
             clip.sample_rate)
         assert (compute_timbre_vector(buzzed).roughness
                 > compute_timbre_vector(clip).roughness)
-
-    def test_matches_individual_metrics(self):
-        clip = bandlimited_noise(8, 100, 6000)
-        vec = compute_timbre_vector(clip)
-        assert vec.sharpness == sharpness(clip)
-        assert vec.roughness == roughness(clip)
-        assert vec.boominess == boominess(clip)
-        assert vec.brightness == brightness(clip)
-        assert vec.depth == depth(clip)
 
     def test_deterministic(self):
         clip = bandlimited_noise(10, 50, 7000)
@@ -247,3 +241,29 @@ class TestTimbreCsv:
         write_timbre_csv(path, [("x", vec), ("x", vec)])
         with pytest.raises(ValueError):
             read_timbre_csv(path)
+
+    @pytest.mark.parametrize("bad_row,message", [
+        ("c,1.0,0.1,0.5,1000.0,1.5", "row 4: depth must lie in [0, 1]"),
+        ("c,1.0,0.1,0.5,-3.0,0.5", "row 4: brightness must be positive"),
+        ("c,1.0,nan,0.5,1000.0,0.5", "row 4: timbre values must be finite"),
+        ("c,1.0,0.1,loud,1000.0,0.5", "row 4: could not convert string to float"),
+        ("c,1.0,0.1,0.5,1000.0", "row 4: malformed row"),
+        ("a,1.0,0.1,0.5,1000.0,0.5", "row 4: duplicate clip_id 'a' (first at row 2)"),
+    ])
+    def test_row_errors_name_file_and_row(self, tmp_path, bad_row, message):
+        path = tmp_path / "timbre.csv"
+        vec = TimbreVector(1.0, 0.1, 0.5, 1000.0, 0.5)
+        write_timbre_csv(path, [("a", vec), ("b", vec)])
+        path.write_text(path.read_text() + bad_row + "\n")
+        with pytest.raises(ValueError) as info:
+            read_timbre_table(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    def test_table_matches_vectors(self, tmp_path):
+        rows = [("a", TimbreVector(3.0, 0.25, 0.5, 1234.5, 0.75)),
+                ("b", TimbreVector(8.0, 0.0, 1.0, 7999.0, 0.0))]
+        path = tmp_path / "timbre.csv"
+        write_timbre_csv(path, rows)
+        ids, values = read_timbre_table(path)
+        assert ids == ["a", "b"]
+        np.testing.assert_array_equal(values, [v.as_array() for _, v in rows])
