@@ -34,6 +34,7 @@ from .detector import (
 )
 from .embeddings import (
     EXTERNAL_PROVIDER,
+    SPECTRAL_DIM,
     SPECTRAL_PROVIDER,
     TIMBRE_PROVIDER,
     DistanceKind,
@@ -47,7 +48,7 @@ from .evaluation import CoverageError, build_report, write_report_json
 from .frontend import CANONICAL_RATE, WavError, load_wav, resample
 from .store import ModelDirectoryError, atomic_write, load_model, save_model
 from .synth import default_benchmark_specs, generate_dataset
-from .timbre import TimbreVector, compute_timbre_vector
+from .timbre import N_ATTRIBUTES, TimbreVector, compute_timbre_vector
 
 # Spectral defaults to euclidean: much of an anomaly's signature in the
 # log-mel statistics space is a level-axis displacement that cosine
@@ -66,11 +67,6 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_clip(audio_root, entry):
-    clip = load_wav(Path(audio_root) / entry.path)
-    return resample(clip, CANONICAL_RATE)
-
-
 def _stored_precision(vec: TimbreVector) -> TimbreVector:
     # Query features must match the precision of the persisted reference
     # set (9 significant digits in timbre.csv, float32 in embeddings.tdce),
@@ -78,9 +74,41 @@ def _stored_precision(vec: TimbreVector) -> TimbreVector:
     return TimbreVector(*(float(f"{v:.9g}") for v in vec.as_array()))
 
 
-def _quantized_embedding(vector, provider_id, clip_id) -> Embedding:
-    vec32 = np.asarray(vector, dtype=np.float64).astype("<f4").astype(np.float64)
-    return Embedding(vec32, provider_id, clip_id)
+def _analyse(args, entries, provider=None):
+    """Decode and analyse each clip of `entries` once.
+
+    Returns the clip ids, the (clip_id, TimbreVector) rows and the [N x D]
+    raw features of `provider` (None without one).  External features come
+    from the --embeddings TDCE file, which must hold every clip.
+    """
+    clip_ids = [e.clip_id for e in entries]
+    if provider == EXTERNAL_PROVIDER:
+        if not args.embeddings:
+            raise ValueError("provider 'external' requires --embeddings")
+        tdce_ids, vectors = read_tdce(args.embeddings)
+        tdce_row = {cid: i for i, cid in enumerate(tdce_ids)}
+        missing = [cid for cid in clip_ids if cid not in tdce_row]
+        if missing:
+            raise ValueError(f"{args.embeddings}: no embedding for clip {missing[0]!r}")
+    timbre_rows, spectral = [], []
+    for entry in entries:
+        path = Path(args.audio_root) / entry.path
+        clip = load_wav(path)
+        try:
+            clip = resample(clip, CANONICAL_RATE)
+            timbre_rows.append((entry.clip_id, compute_timbre_vector(clip)))
+            if provider == SPECTRAL_PROVIDER:
+                spectral.append(spectral_features(clip))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    raw = None                  # reshaped so that no clips still gives [0 x D]
+    if provider == TIMBRE_PROVIDER:
+        raw = np.array([vec.as_array() for _, vec in timbre_rows]).reshape(-1, N_ATTRIBUTES)
+    elif provider == SPECTRAL_PROVIDER:
+        raw = np.array(spectral).reshape(-1, SPECTRAL_DIM)
+    elif provider == EXTERNAL_PROVIDER:
+        raw = vectors[[tdce_row[cid] for cid in clip_ids]]
+    return clip_ids, timbre_rows, raw
 
 
 # ---------------------------------------------------------------------------
@@ -113,49 +141,14 @@ def cmd_synth(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-def _raw_training_features(args, entries):
-    """(clip_ids, raw feature rows, timbre rows) for the training split."""
-    train = [e for e in entries if e.split == "train"]
+def cmd_fit(args) -> int:
+    train = [e for e in load_manifest(args.manifest) if e.split == "train"]
     if not train:
         raise ManifestError("manifest has no training rows")
-    clip_ids = [e.clip_id for e in train]
-
-    if args.provider == EXTERNAL_PROVIDER and not args.embeddings:
-        raise ValueError("provider 'external' requires --embeddings")
-
-    timbre_rows = []
-    spectral_rows = []
-    for entry in train:
-        clip = _load_clip(args.audio_root, entry)
-        timbre_rows.append((entry.clip_id, compute_timbre_vector(clip)))
-        if args.provider == SPECTRAL_PROVIDER:
-            spectral_rows.append(spectral_features(clip))
-
-    if args.provider == TIMBRE_PROVIDER:
-        raw = [vec.as_array() for _, vec in timbre_rows]
-    elif args.provider == SPECTRAL_PROVIDER:
-        raw = spectral_rows
-    else:
-        imported = dict(zip(*read_tdce(args.embeddings)))
-        missing = [cid for cid in clip_ids if cid not in imported]
-        if missing:
-            raise ValueError(
-                f"embeddings file covers {len(imported)} clips but is missing "
-                f"training clip {missing[0]!r}"
-            )
-        raw = [imported[cid] for cid in clip_ids]
-    return clip_ids, raw, timbre_rows
-
-
-def cmd_fit(args) -> int:
-    entries = load_manifest(args.manifest)
-    clip_ids, raw, timbre_rows = _raw_training_features(args, entries)
+    clip_ids, timbre_rows, raw = _analyse(args, train, args.provider)
     stats = fit_normalization(raw)
-    embeddings = [
-        Embedding((np.asarray(row, dtype=np.float64) - stats.mean) / stats.std,
-                  args.provider, cid)
-        for cid, row in zip(clip_ids, raw)
-    ]
+    embeddings = [Embedding(z, args.provider, cid)
+                  for cid, z in zip(clip_ids, (raw - stats.mean) / stats.std)]
     distance = (DistanceKind.parse(args.distance) if args.distance
                 else DEFAULT_DISTANCE[args.provider])
     save_model(args.out, embeddings, timbre_rows, stats, distance,
@@ -169,45 +162,22 @@ def cmd_fit(args) -> int:
 # score
 # ---------------------------------------------------------------------------
 
-def _query_embedding(config, ref, entry, clip, external_vectors):
-    provider = config["provider"]
-    if provider == TIMBRE_PROVIDER:
-        vec = compute_timbre_vector(clip).as_array()
-    elif provider == SPECTRAL_PROVIDER:
-        vec = spectral_features(clip)
-    else:
-        if entry.clip_id not in external_vectors:
-            raise ValueError(
-                f"embeddings file is missing test clip {entry.clip_id!r}"
-            )
-        vec = external_vectors[entry.clip_id]
-    z = (np.asarray(vec, dtype=np.float64) - ref.normalization.mean) / ref.normalization.std
-    return _quantized_embedding(z, provider, entry.clip_id)
-
-
 def cmd_score(args) -> int:
     ref, config = load_model(args.model)
     if args.distance:
         ref = replace(ref, distance_kind=DistanceKind.parse(args.distance))
     k = args.k if args.k is not None else int(config["k"])
     t = args.t if args.t is not None else float(config["t"])
+    provider = config["provider"]
+    if provider not in DEFAULT_DISTANCE:
+        raise ModelDirectoryError(f"{args.model}: unknown provider {provider!r}")
 
-    external_vectors = {}
-    if config["provider"] == EXTERNAL_PROVIDER:
-        if not args.embeddings:
-            raise ValueError(
-                "model provider is 'external'; scoring requires --embeddings"
-            )
-        external_vectors = dict(zip(*read_tdce(args.embeddings)))
-
-    query_embeddings, query_timbres = [], []
-    for entry in load_manifest(args.manifest):
-        if entry.split != "test":
-            continue
-        clip = _load_clip(args.audio_root, entry)
-        query_timbres.append(_stored_precision(compute_timbre_vector(clip)))
-        query_embeddings.append(_query_embedding(config, ref, entry, clip,
-                                                 external_vectors))
+    tests = [e for e in load_manifest(args.manifest) if e.split == "test"]
+    clip_ids, timbre_rows, raw = _analyse(args, tests, provider)
+    norm = ref.normalization    # z-scored, then float32 like embeddings.tdce
+    z32 = ((raw - norm.mean) / norm.std).astype("<f4").astype(np.float64)
+    query_embeddings = [Embedding(z, provider, cid) for cid, z in zip(clip_ids, z32)]
+    query_timbres = [_stored_precision(vec) for _, vec in timbre_rows]
     results = score_clips(ref, query_embeddings, query_timbres, k=k, t=t)
     if args.baseline == "global":
         for i, query_timbre in enumerate(query_timbres):
@@ -228,11 +198,7 @@ def cmd_score(args) -> int:
 def cmd_gen_gt(args) -> int:
     entries = load_manifest(args.manifest)
     needed = [e for e in entries if e.split == "train" or e.state == "anomalous"]
-    timbre_vectors = {}
-    for entry in needed:
-        timbre_vectors[entry.clip_id] = compute_timbre_vector(
-            _load_clip(args.audio_root, entry)
-        )
+    timbre_vectors = dict(_analyse(args, needed)[1])
     records = generate_ground_truth(entries, timbre_vectors, t_prime=args.t_prime)
     atomic_write(args.out, lambda p: write_ground_truth_csv(p, records))
     stats = ground_truth_statistics(records)
@@ -279,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--audio-root", required=True)
     p.add_argument("--provider", required=True,
-                   choices=[TIMBRE_PROVIDER, SPECTRAL_PROVIDER, EXTERNAL_PROVIDER])
+                   choices=list(DEFAULT_DISTANCE))
     p.add_argument("--embeddings", help="TDCE file for provider 'external'")
     p.add_argument("--out", required=True, help="model directory")
     p.add_argument("--distance", choices=["euclidean", "cosine"])

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvrows import read_rows
 from .detector import threshold_label
 from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES
 
@@ -83,30 +84,9 @@ class GroundTruthRecord:
 # ---------------------------------------------------------------------------
 
 def load_manifest(path) -> list:
-    """Read and validate a manifest CSV; errors name the offending row."""
-    entries = []
-    seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_CSV_HEADER:
-            raise ManifestError(f"{path}: unexpected manifest header {header}")
-        for number, row in enumerate(reader, start=2):
-            if len(row) != len(MANIFEST_CSV_HEADER):
-                raise ManifestError(f"{path} row {number}: expected "
-                                    f"{len(MANIFEST_CSV_HEADER)} fields, got {len(row)}")
-            try:
-                entry = ManifestEntry(clip_id=row[0], path=row[1], split=row[2],
-                                      state=row[3], condition_id=row[4],
-                                      cause_id=row[5], domain=row[6])
-            except ManifestError as exc:
-                raise ManifestError(f"{path} row {number}: {exc}") from None
-            if entry.clip_id in seen:
-                raise ManifestError(f"{path} row {number}: duplicate clip_id "
-                                    f"{entry.clip_id!r}")
-            seen.add(entry.clip_id)
-            entries.append(entry)
-    return entries
+    """Read and validate a manifest CSV; errors name the file and row."""
+    return read_rows(path, MANIFEST_CSV_HEADER, lambda _, row: ManifestEntry(*row),
+                     ManifestError, unique=True)
 
 
 def write_manifest_csv(path, entries) -> None:
@@ -243,30 +223,22 @@ def write_ground_truth_csv(path, records) -> None:
 
 
 def read_ground_truth_csv(path) -> list:
-    raw = {}
-    order = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != GROUND_TRUTH_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected ground truth header {header}")
-        for row in reader:
-            if len(row) != len(GROUND_TRUTH_CSV_HEADER):
-                raise ValueError(f"{path}: malformed row {row}")
-            condition, cause, attribute, score, label = row
-            if attribute not in ATTRIBUTE_NAMES:
-                raise ValueError(f"{path}: unknown attribute {attribute!r}")
-            key = (condition, cause)
-            if key not in raw:
-                raw[key] = {}
-                order.append(key)
-            raw[key][attribute] = (float(score), int(label))
+    groups = {}                 # (condition, cause) -> {attribute: (score, label)}
+
+    def add(_, row):
+        condition, cause, attribute, score, label = row
+        if attribute not in ATTRIBUTE_NAMES:
+            raise ValueError(f"unknown attribute {attribute!r}")
+        groups.setdefault((condition, cause), {})[attribute] = (float(score), int(label))
+
+    read_rows(path, GROUND_TRUTH_CSV_HEADER, add)
     records = []
-    for key in order:
-        if set(raw[key]) != set(ATTRIBUTE_NAMES):
+    for key, values in groups.items():
+        if set(values) != set(ATTRIBUTE_NAMES):
             raise ValueError(f"{path}: group {key} is missing attributes")
-        scores = [raw[key][name][0] for name in ATTRIBUTE_NAMES]
-        labels = [raw[key][name][1] for name in ATTRIBUTE_NAMES]
-        records.append(GroundTruthRecord(key[0], key[1], np.array(scores),
-                                         np.array(labels, dtype=int)))
+        scores, labels = zip(*(values[name] for name in ATTRIBUTE_NAMES))
+        try:
+            records.append(GroundTruthRecord(*key, scores, labels))
+        except ValueError as exc:
+            raise ValueError(f"{path}: group {key}: {exc}") from None
     return records

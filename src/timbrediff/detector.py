@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvrows import read_rows
 from .embeddings import DistanceKind, Embedding, NormalizationStats, distances_to
 from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES
 
@@ -247,26 +248,9 @@ def write_results_csv(path, results) -> None:
 
 
 def read_results_csv(path) -> list:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULTS_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected results CSV header {header}")
-        first_row = {}
-        for row in reader:
-            if len(row) != len(RESULTS_CSV_HEADER):
-                raise ValueError(f"{path}: malformed row {row}")
-            if row[0] in first_row:
-                raise ValueError(
-                    f"{path}: row {reader.line_num}: duplicate clip_id "
-                    f"{row[0]!r} (first at row {first_row[row[0]]})"
-                )
-            first_row[row[0]] = reader.line_num
-            out.append(TimbreDiffResult(
-                clip_id=row[0],
-                anomaly_score=float(row[1]),
-                attribute_scores=np.array([float(v) for v in row[2:7]]),
-                attribute_labels=np.array([int(v) for v in row[7:12]]),
-            ))
-    return out
+    return read_rows(path, RESULTS_CSV_HEADER, lambda _, row: TimbreDiffResult(
+        clip_id=row[0],
+        anomaly_score=float(row[1]),
+        attribute_scores=np.array([float(v) for v in row[2:7]]),
+        attribute_labels=np.array([int(v) for v in row[7:12]]),
+    ), unique=True)

@@ -12,8 +12,9 @@ from enum import Enum
 
 import numpy as np
 
+from .csvrows import read_rows
 from .frontend import AudioClip, stft_power
-from .timbre import N_ATTRIBUTES, SILENCE_POWER_FLOOR, SilentClipError, TimbreVector
+from .timbre import SILENCE_POWER_FLOOR, SilentClipError
 
 TIMBRE_PROVIDER = "timbre"
 SPECTRAL_PROVIDER = "spectral"
@@ -96,15 +97,6 @@ def fit_normalization(vectors) -> NormalizationStats:
                               np.maximum(data.std(axis=0), STD_FLOOR))
 
 
-def embed_timbre(vec: TimbreVector, stats: NormalizationStats,
-                 clip_id: str = "") -> Embedding:
-    """z-scored timbre vector, for neighbor search in metric space."""
-    if stats.dim != N_ATTRIBUTES:
-        raise ValueError(f"timbre provider needs {N_ATTRIBUTES}-dim stats, got {stats.dim}")
-    z = (vec.as_array() - stats.mean) / stats.std
-    return Embedding(z, TIMBRE_PROVIDER, clip_id)
-
-
 def mel_filterbank(bin_freqs: np.ndarray, n_bands: int = MEL_BANDS,
                    fmax: float = MEL_FMAX_HZ) -> np.ndarray:
     """Triangular unit-peak mel filters over the given bin grid, [bands x bins]."""
@@ -132,15 +124,6 @@ def spectral_features(clip: AudioClip) -> np.ndarray:
     bank = mel_filterbank(spec.bin_freqs)
     log_mel = np.log(np.maximum(spec.power @ bank.T, LOG_FLOOR))
     return np.concatenate([log_mel.mean(axis=0), log_mel.std(axis=0)])
-
-
-def embed_spectral(clip: AudioClip, stats: NormalizationStats,
-                   clip_id: str = "") -> Embedding:
-    """z-scored log-mel statistics embedding."""
-    if stats.dim != SPECTRAL_DIM:
-        raise ValueError(f"spectral provider needs {SPECTRAL_DIM}-dim stats, got {stats.dim}")
-    z = (spectral_features(clip) - stats.mean) / stats.std
-    return Embedding(z, SPECTRAL_PROVIDER, clip_id)
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +205,13 @@ def read_tdce(path):
         raise TdceError(f"{path}: {payload - expected} trailing bytes")
 
     ids = []
-    with open(_ids_path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["row", "clip_id"]:
-            raise TdceError(f"{_ids_path(path)}: unexpected header {header}")
-        for row in reader:
-            if len(row) != 2 or row[0] != str(len(ids)):
-                raise TdceError(f"{_ids_path(path)}: row {reader.line_num}: "
-                                f"malformed row {row}")
-            ids.append(row[1])
+
+    def add_id(_, row):
+        if row[0] != str(len(ids)):
+            raise ValueError(f"malformed row {row}")
+        ids.append(row[1])
+
+    read_rows(_ids_path(path), ["row", "clip_id"], add_id, TdceError)
     if len(ids) != count:
         raise TdceError(
             f"{path}: id count mismatch ({len(ids)} ids for {count} embeddings)"

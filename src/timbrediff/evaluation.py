@@ -124,15 +124,3 @@ def write_report_json(path, report: EvalReport) -> None:
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_report_json(path) -> EvalReport:
-    with open(path) as fh:
-        data = json.load(fh)
-    return EvalReport(
-        detection_auc=data["detection_auc"],
-        mae=data["mae"],
-        mean_mae=data["mean_mae"],
-        counts=data["counts"],
-        n_clips=data["n_clips"],
-    )

@@ -176,6 +176,8 @@ def load_wav(path) -> AudioClip:
     samples = samples[:usable].reshape(-1, channels).mean(axis=1)
     if samples.size == 0:
         raise WavHeaderError(f"{path}: no audio frames")
+    if not np.all(np.isfinite(samples)):
+        raise WavError(f"{path}: samples must be finite")
     return AudioClip(samples, rate)
 
 

@@ -12,6 +12,7 @@ from enum import Enum
 
 import numpy as np
 
+from .csvrows import read_rows
 from .frontend import (
     AudioClip,
     Spectrogram,
@@ -189,32 +190,19 @@ def write_timbre_csv(path, rows) -> None:
 
 def read_timbre_table(path):
     """Read a timbre CSV into (clip ids, [N x 5] values), checked as TimbreVector."""
-    first_row = {}                  # clip_id -> CSV row, the header being 1
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TIMBRE_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected timbre CSV header {header}")
-        for row in reader:
-            if len(row) != len(TIMBRE_CSV_HEADER):
-                raise ValueError(f"{path}: row {reader.line_num}: malformed row {row}")
-            if row[0] in first_row:
-                raise ValueError(
-                    f"{path}: row {reader.line_num}: duplicate clip_id "
-                    f"{row[0]!r} (first at row {first_row[row[0]]})"
-                )
-            first_row[row[0]] = reader.line_num
-            try:
-                values.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
+    ids, rows = [], []
+
+    def parse(row, fields):
+        ids.append(fields[0])
+        rows.append(row)
+        return [float(v) for v in fields[1:]]
+
+    values = read_rows(path, TIMBRE_CSV_HEADER, parse, unique=True)
     values = np.array(values, dtype=np.float64).reshape(-1, N_ATTRIBUTES)
     problem = _timbre_violation(values)
     if problem is not None:
-        line = list(first_row.values())[problem[0]]
-        raise ValueError(f"{path}: row {line}: {problem[1]}")
-    return list(first_row), values
+        raise ValueError(f"{path}: row {rows[problem[0]]}: {problem[1]}")
+    return ids, values
 
 
 def read_timbre_csv(path) -> dict:

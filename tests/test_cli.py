@@ -9,6 +9,7 @@ from timbrediff.cli import main
 from timbrediff.dataset import load_manifest
 from timbrediff.detector import read_results_csv
 from timbrediff.embeddings import Embedding, import_embeddings, write_embeddings
+from timbrediff.frontend import AudioClip, save_wav
 from timbrediff.store import ModelDirectoryError, load_model
 from timbrediff.synth import default_benchmark_specs, generate_dataset
 
@@ -67,6 +68,18 @@ class TestFitCommand:
         assert config["k"] == 30 and config["t"] == 0.1
         assert len(import_embeddings(model / "embeddings.tdce")) == 18
         assert (model / "timbre.csv").read_text().count("\n") == 19
+
+    def test_timbre_embeddings_are_z_scores(self, tiny_dataset, tmp_path):
+        model = tmp_path / "model"
+        assert run("fit", "--manifest", tiny_dataset / "manifest.csv",
+                   "--audio-root", tiny_dataset, "--provider", "timbre",
+                   "--out", model) == 0
+        ref, _ = load_model(model)
+        stats = ref.normalization
+        z = (ref.timbre_values - stats.mean) / stats.std
+        np.testing.assert_allclose(ref.embeddings, z, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-6)
+        np.testing.assert_allclose(z.std(axis=0), 1.0, rtol=1e-6)
 
     def test_external_requires_embeddings(self, tiny_dataset, tmp_path, capsys):
         assert run("fit", "--manifest", tiny_dataset / "manifest.csv",
@@ -169,6 +182,12 @@ class TestModelFileErrors:
             load_model(model_copy)
         assert f"{path}: missing key '{key}'" in self.score_error(
             tiny_dataset, model_copy, tmp_path, capsys)
+
+    def test_unknown_provider(self, tiny_dataset, model_copy, tmp_path, capsys):
+        path = model_copy / "config.json"
+        path.write_text(path.read_text().replace('"spectral"', '"mystery"'))
+        err = self.score_error(tiny_dataset, model_copy, tmp_path, capsys)
+        assert f"{model_copy}: unknown provider 'mystery'" in err
 
     def test_missing_normalization_key(self, model_copy):
         path = model_copy / "normalization.json"
@@ -285,6 +304,32 @@ class TestExternalProvider:
         scores_norm = [r.anomaly_score for r in rows if r.clip_id not in anomalous]
         assert min(scores_anom) > max(scores_norm)
 
+    def test_tdce_missing_clip_names_file_and_clip(self, tiny_dataset, tmp_path,
+                                                    capsys):
+        entries = load_manifest(tiny_dataset / "manifest.csv")
+        full, partial = tmp_path / "full.tdce", tmp_path / "partial.tdce"
+        vectors = [Embedding(np.full(4, float(i)), "external", e.clip_id)
+                   for i, e in enumerate(entries)]
+        write_embeddings(full, vectors)
+        common = ["--manifest", tiny_dataset / "manifest.csv",
+                  "--audio-root", tiny_dataset]
+        model = tmp_path / "model"
+        assert run("fit", *common, "--provider", "external", "--embeddings", full,
+                   "--out", model) == 0
+        capsys.readouterr()
+        for split in ("train", "test"):
+            dropped = next(e.clip_id for e in entries if e.split == split)
+            write_embeddings(partial, [v for v in vectors if v.clip_id != dropped])
+            if split == "train":
+                code = run("fit", *common, "--provider", "external",
+                           "--embeddings", partial, "--out", tmp_path / "m2")
+            else:
+                code = run("score", "--model", model, *common,
+                           "--embeddings", partial, "--out", tmp_path / "r.csv")
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {partial}: no embedding for clip {dropped!r}\n"
+
     def test_score_without_embeddings_fails(self, tiny_dataset, tmp_path,
                                             capsys):
         entries = load_manifest(tiny_dataset / "manifest.csv")
@@ -301,6 +346,22 @@ class TestExternalProvider:
                    "--audio-root", tiny_dataset,
                    "--out", tmp_path / "r.csv") == 1
         assert "--embeddings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["fit", "score", "gen-gt"])
+def test_silent_clip_names_its_file(tiny_dataset, fitted, tmp_path, capsys, stage):
+    root = tmp_path / "data"
+    shutil.copytree(tiny_dataset, root)
+    split = "test" if stage == "score" else "train"
+    entry = next(e for e in load_manifest(root / "manifest.csv") if e.split == split)
+    save_wav(root / entry.path, AudioClip(np.zeros(16000), 16000))
+    common = ["--manifest", root / "manifest.csv", "--audio-root", root]
+    argv = {"fit": ["fit", *common, "--provider", "spectral", "--out", tmp_path / "m"],
+            "score": ["score", "--model", fitted, *common, "--out", tmp_path / "r.csv"],
+            "gen-gt": ["gen-gt", *common, "--out", tmp_path / "gt.csv"]}[stage]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {root / entry.path}: silent input: total framed power below threshold\n")
 
 
 class TestGenGtAndEval:
@@ -336,6 +397,20 @@ class TestGenGtAndEval:
                    "--manifest", tmp_path / "manifest.csv",
                    "--out", tmp_path / "report.json") == 1
         assert "a0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_row,message", [
+        (b"n0," + b"9" * 200_000 + b"\n", "row 3: field larger than field limit"),
+        (b"n\xff0,0.1\n", "row 3: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["oversized_field", "not_utf8"])
+    def test_eval_unreadable_results_row_names_file_and_row(self, tmp_path, capsys,
+                                                           bad_row, message):
+        write_eval_inputs(tmp_path, "n0,0.1,0.5,0.5,0.5,0.5,0.5,0,0,0,0,0\n")
+        results = tmp_path / "results.csv"
+        results.write_bytes(results.read_bytes() + bad_row)
+        assert run("eval", "--results", results, "--gt", tmp_path / "gt.csv",
+                   "--manifest", tmp_path / "manifest.csv",
+                   "--out", tmp_path / "report.json") == 1
+        assert capsys.readouterr().err.startswith(f"error: {results}: {message}")
 
     def test_eval_duplicate_result_row_names_file_and_row(self, tmp_path,
                                                          capsys):

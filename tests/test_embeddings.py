@@ -7,58 +7,26 @@ from timbrediff.embeddings import (
     SPECTRAL_DIM,
     DistanceKind,
     Embedding,
-    NormalizationStats,
     TdceError,
     distances_to,
-    embed_spectral,
-    embed_timbre,
     fit_normalization,
     import_embeddings,
     spectral_features,
     write_embeddings,
 )
 from timbrediff.frontend import AudioClip, CANONICAL_RATE
-from timbrediff.timbre import SilentClipError, TimbreVector
+from timbrediff.timbre import SilentClipError
 
 from conftest import make_noise
-
-
-def unit_stats(dim):
-    return NormalizationStats(np.zeros(dim), np.ones(dim))
-
-
-class TestEmbedTimbre:
-    VEC = TimbreVector(4.0, 0.2, 0.4, 1200.0, 0.3)
-
-    def test_mean_maps_to_zero(self):
-        stats = NormalizationStats(self.VEC.as_array(), np.ones(5))
-        emb = embed_timbre(self.VEC, stats)
-        assert np.all(emb.vector == 0.0)
-        assert emb.provider_id == "timbre"
-
-    def test_identity_stats(self):
-        emb = embed_timbre(self.VEC, unit_stats(5))
-        np.testing.assert_array_equal(emb.vector, self.VEC.as_array())
-
-    def test_mean_plus_std_is_ones(self):
-        std = np.array([1.0, 0.1, 0.2, 50.0, 0.05])
-        stats = NormalizationStats(self.VEC.as_array() - std, std)
-        np.testing.assert_allclose(embed_timbre(self.VEC, stats).vector, 1.0,
-                                   rtol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            embed_timbre(self.VEC, unit_stats(4))
 
 
 class TestEmbedSpectral:
     def test_deterministic(self):
         clip = make_noise(1)
-        stats = unit_stats(SPECTRAL_DIM)
-        a = embed_spectral(clip, stats)
-        b = embed_spectral(clip, stats)
-        assert np.array_equal(a.vector, b.vector)
-        assert a.vector.size == 80
+        a = spectral_features(clip)
+        b = spectral_features(clip)
+        assert np.array_equal(a, b)
+        assert a.size == SPECTRAL_DIM == 80
 
     def test_gain_shifts_means_only(self):
         clip = make_noise(2)
@@ -80,8 +48,7 @@ class TestEmbedSpectral:
 
     def test_silent_error(self):
         with pytest.raises(SilentClipError):
-            embed_spectral(AudioClip(np.zeros(16000), CANONICAL_RATE),
-                           unit_stats(SPECTRAL_DIM))
+            spectral_features(AudioClip(np.zeros(16000), CANONICAL_RATE))
 
 
 class TestFitNormalization:

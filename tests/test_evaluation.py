@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from timbrediff.evaluation import (
     build_report,
     detection_auc,
     normalized_mae,
-    read_report_json,
     write_report_json,
 )
 
@@ -156,6 +157,6 @@ class TestBuildReport:
         report = build_report(results, entries, records)
         path = tmp_path / "report.json"
         write_report_json(path, report)
-        assert read_report_json(path) == report
+        assert json.loads(path.read_text()) == report.to_dict()
         text = path.read_text()
         assert '"detection_auc"' in text and '"mean_mae"' in text

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from timbrediff.frontend import (
     EmptyBandError,
     Spectrogram,
     UnsupportedWavError,
+    WavError,
     WavHeaderError,
     band_envelopes,
     bark_band_edges,
@@ -99,6 +101,16 @@ class TestWavIO:
                   + b"data" + struct.pack("<I", 100))
         path.write_bytes(header + b"\x00" * 10)  # declares 100, delivers 10
         with pytest.raises(WavHeaderError):
+            load_wav(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float32_names_file(self, tmp_path, bad):
+        path = tmp_path / "nan.wav"
+        save_wav(path, AudioClip(np.zeros(100), 16000), sample_format="float32")
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.array([bad], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WavError, match=re.escape(f"{path}: samples must be finite")):
             load_wav(path)
 
     def test_unsupported_codec(self, tmp_path):
