@@ -71,7 +71,7 @@ class GroundTruthRecord:
         labels = np.asarray(self.labels, dtype=int)
         if scores.shape != (N_ATTRIBUTES,) or labels.shape != (N_ATTRIBUTES,):
             raise ValueError("scores and labels must each have 5 entries")
-        if np.any(scores < 0.0) or np.any(scores > 1.0):
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
             raise ValueError("ground truth scores must lie in [0, 1]")
         if not np.isin(labels, (-1, 0, 1)).all():
             raise ValueError("labels must be -1, 0 or 1")
@@ -223,20 +223,24 @@ def write_ground_truth_csv(path, records) -> None:
 
 
 def read_ground_truth_csv(path) -> list:
-    groups = {}                 # (condition, cause) -> {attribute: (score, label)}
+    groups = {}         # (condition, cause) -> {attribute: (score, label, row)}
 
-    def add(_, row):
-        condition, cause, attribute, score, label = row
+    def add(row, fields):
+        condition, cause, attribute, score, label = fields
         if attribute not in ATTRIBUTE_NAMES:
             raise ValueError(f"unknown attribute {attribute!r}")
-        groups.setdefault((condition, cause), {})[attribute] = (float(score), int(label))
+        values = groups.setdefault((condition, cause), {})
+        if attribute in values:
+            raise ValueError(f"duplicate (condition, cause, attribute) {tuple(fields[:3])}"
+                             f" (first at row {values[attribute][2]})")
+        values[attribute] = (float(score), int(label), row)
 
     read_rows(path, GROUND_TRUTH_CSV_HEADER, add)
     records = []
     for key, values in groups.items():
         if set(values) != set(ATTRIBUTE_NAMES):
             raise ValueError(f"{path}: group {key} is missing attributes")
-        scores, labels = zip(*(values[name] for name in ATTRIBUTE_NAMES))
+        scores, labels, _ = zip(*(values[name] for name in ATTRIBUTE_NAMES))
         try:
             records.append(GroundTruthRecord(*key, scores, labels))
         except ValueError as exc:

@@ -81,7 +81,7 @@ class TimbreDiffResult:
         labels = np.asarray(self.attribute_labels, dtype=int)
         if scores.shape != (N_ATTRIBUTES,) or labels.shape != (N_ATTRIBUTES,):
             raise ValueError("scores and labels must each have 5 entries")
-        if np.any(scores < 0.0) or np.any(scores > 1.0):
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
             raise ValueError("attribute scores must lie in [0, 1]")
         if not np.isin(labels, (-1, 0, 1)).all():
             raise ValueError("labels must be -1, 0 or 1")

@@ -329,10 +329,10 @@ def bark_band_powers(spec: Spectrogram) -> np.ndarray:
 def band_envelopes(clip: AudioClip, band_edges) -> BandDecomposition:
     """Analytic-signal magnitude envelopes of FFT-isolated bands.
 
-    Per band the full-length spectrum is zeroed outside [lo, hi), one-sided
-    (positive frequencies doubled) and inverse-transformed; the envelope is
-    the magnitude of the resulting analytic signal.  A bin at exactly
-    Nyquist is kept, unscaled, when the band reaches Nyquist.
+    Per band the one-sided (real-input) spectrum's bins in [lo, hi), one
+    contiguous range, are doubled into a zero full-length spectrum and
+    inverse-transformed; the envelope is the magnitude of that analytic
+    signal.  A bin at exactly Nyquist is kept, unscaled, when the band reaches it.
     """
     n = clip.samples.size
     nyquist = clip.sample_rate / 2.0
@@ -340,23 +340,19 @@ def band_envelopes(clip: AudioClip, band_edges) -> BandDecomposition:
         if not 0 < lo < hi or hi > nyquist:
             raise ValueError(f"band ({lo}, {hi}) must lie within (0, {nyquist}]")
 
-    spectrum = np.fft.fft(clip.samples)
-    k_pos = np.arange(1, n // 2 + 1)               # positive-frequency bins
-    freqs = k_pos * (clip.sample_rate / n)
-    has_nyquist_bin = n % 2 == 0
+    spectrum = np.fft.rfft(clip.samples)
+    freqs = np.arange(spectrum.size) * (clip.sample_rate / n)
 
     masked = np.zeros((len(band_edges), n), dtype=complex)
     for row, (lo, hi) in enumerate(band_edges):
-        members = (freqs >= lo) & (freqs < hi)
-        if hi >= nyquist:
-            members |= freqs == nyquist
-        if not members.any():
+        # A band reaching Nyquist also takes a bin at exactly Nyquist.
+        first = np.searchsorted(freqs, lo, side="left")
+        stop = np.searchsorted(freqs, hi, side="right" if hi >= nyquist else "left")
+        if stop <= first:
             raise EmptyBandError(f"band {lo}-{hi} Hz contains no spectral bins")
-        bins = k_pos[members]
-        scale = np.full(bins.size, 2.0)
-        if has_nyquist_bin:
-            scale[bins == n // 2] = 1.0
-        masked[row, bins] = spectrum[bins] * scale
+        masked[row, first:stop] = 2 * spectrum[first:stop]
+        if n % 2 == 0 and stop > n // 2:
+            masked[row, n // 2] /= 2               # the even-n Nyquist bin
 
     envelopes = np.abs(np.fft.ifft(masked, axis=1))
     return BandDecomposition(tuple(band_edges), envelopes)

@@ -140,16 +140,16 @@ def _roughness(clip: AudioClip, loudness: np.ndarray) -> float:
     edges = bark_band_edges(clip.sample_rate)
     envelopes = band_envelopes(clip, edges).band_envelopes
 
-    # Rectangular 30-150 Hz band-pass of each envelope, via its spectrum.
+    # RMS of each envelope's 30-150 Hz band-pass by Parseval over its kept bins k:
+    # weight 2 (k and its mirror), 1 at DC and an even n's Nyquist (2k = 0 mod n).
     n = envelopes.shape[1]
     freqs = np.fft.rfftfreq(n, 1.0 / clip.sample_rate)
     lo, hi = ROUGHNESS_MOD_BAND_HZ
-    keep = (freqs >= lo) & (freqs <= hi)
-    env_spectrum = np.fft.rfft(envelopes, axis=1)
-    env_spectrum[:, ~keep] = 0.0
-    modulation = np.fft.irfft(env_spectrum, n=n, axis=1)
+    first, stop = np.searchsorted(freqs, lo), np.searchsorted(freqs, hi, side="right")
+    kept = np.fft.rfft(envelopes, axis=1)[:, first:stop]
+    weights = np.where(2 * np.arange(first, stop) % n == 0, 1.0, 2.0)
 
-    mod_rms = np.sqrt((modulation ** 2).mean(axis=1))
+    mod_rms = np.sqrt((kept.real ** 2 + kept.imag ** 2) @ weights) / n
     mod_index = mod_rms / (envelopes.mean(axis=1) + 1e-12)
     return float((loudness * mod_index).sum() / loudness.sum())
 

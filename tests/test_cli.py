@@ -427,6 +427,34 @@ class TestGenGtAndEval:
         assert f"{results}: row 4: duplicate clip_id 'n0'" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("table,message", [
+        ("results.csv", "row 3: attribute scores must lie in [0, 1]"),
+        ("gt.csv", "group ('c1', 'q1'): ground truth scores must lie in [0, 1]"),
+    ])
+    def test_eval_nan_score_names_file(self, tmp_path, capsys, table, message):
+        write_eval_inputs(tmp_path, "n0,0.1,0.5,0.5,0.5,0.5,0.5,0,0,0,0,0\n"
+                                    "a0,0.9,1,1,1,1,1,1,1,1,1,1\n")
+        path = tmp_path / table
+        old = "a0,0.9,1,1," if table == "results.csv" else "roughness,1,"
+        path.write_text(path.read_text().replace(old, old[:-2] + "nan,"))
+        assert run("eval", "--results", tmp_path / "results.csv",
+                   "--gt", tmp_path / "gt.csv",
+                   "--manifest", tmp_path / "manifest.csv",
+                   "--out", tmp_path / "report.json") == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / table}: {message}\n"
+
+    def test_eval_duplicate_gt_row_names_file_and_row(self, tmp_path, capsys):
+        write_eval_inputs(tmp_path, "n0,0.1,0.5,0.5,0.5,0.5,0.5,0,0,0,0,0\n"
+                                    "a0,0.9,1,1,1,1,1,1,1,1,1,1\n")
+        gt = tmp_path / "gt.csv"
+        gt.write_text(gt.read_text() + "c1,q1,depth,nan,-1\n")
+        assert run("eval", "--results", tmp_path / "results.csv", "--gt", gt,
+                   "--manifest", tmp_path / "manifest.csv",
+                   "--out", tmp_path / "report.json") == 1
+        assert capsys.readouterr().err == (
+            f"error: {gt}: row 7: duplicate (condition, cause, attribute) "
+            "('c1', 'q1', 'depth') (first at row 6)\n")
+
 
 def write_eval_inputs(root, result_rows):
     """Manifest, ground truth and results CSV for one normal/anomalous pair."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from timbrediff.frontend import (
     _RESAMPLE_HALF_TAPS,
     AudioClip,
+    BandDecomposition,
     EmptyBandError,
     Spectrogram,
     UnsupportedWavError,
@@ -24,6 +25,7 @@ from timbrediff.frontend import (
     save_wav,
     stft_power,
 )
+from timbrediff.synth import default_benchmark_specs, generate_clip
 
 from conftest import bandlimited_noise, make_noise, make_tone
 
@@ -368,3 +370,107 @@ class TestBandEnvelopes:
     def test_band_outside_nyquist(self):
         with pytest.raises(ValueError):
             band_envelopes(make_tone(1000), [(7000.0, 9000.0)])
+
+
+def _reference_band_envelopes(clip: AudioClip, band_edges) -> BandDecomposition:
+    """Oracle: the former band_envelopes, with a full complex FFT of the
+    clip and a boolean mask over every positive-frequency bin per band."""
+    n = clip.samples.size
+    nyquist = clip.sample_rate / 2.0
+    for lo, hi in band_edges:
+        if not 0 < lo < hi or hi > nyquist:
+            raise ValueError(f"band ({lo}, {hi}) must lie within (0, {nyquist}]")
+
+    spectrum = np.fft.fft(clip.samples)
+    k_pos = np.arange(1, n // 2 + 1)               # positive-frequency bins
+    freqs = k_pos * (clip.sample_rate / n)
+    has_nyquist_bin = n % 2 == 0
+
+    masked = np.zeros((len(band_edges), n), dtype=complex)
+    for row, (lo, hi) in enumerate(band_edges):
+        members = (freqs >= lo) & (freqs < hi)
+        if hi >= nyquist:
+            members |= freqs == nyquist
+        if not members.any():
+            raise EmptyBandError(f"band {lo}-{hi} Hz contains no spectral bins")
+        bins = k_pos[members]
+        scale = np.full(bins.size, 2.0)
+        if has_nyquist_bin:
+            scale[bins == n // 2] = 1.0
+        masked[row, bins] = spectrum[bins] * scale
+
+    envelopes = np.abs(np.fft.ifft(masked, axis=1))
+    return BandDecomposition(tuple(band_edges), envelopes)
+
+
+def oracle_clip(source, rate, n_samples):
+    """A synthetic machine clip of one cause ("normal" for none), cut to
+    n_samples at 16 kHz, or uniform noise ("noise") at any rate."""
+    if source == "noise":
+        return _uniform_clip(rate, n_samples, seed=rate + n_samples)
+    assert rate == 16000
+    conditions, causes = default_benchmark_specs()
+    cause = {c.cause_id: c for c in causes}.get(source)
+    clip = generate_clip(conditions[n_samples % 3], cause, 1.0, seed=n_samples)
+    return AudioClip(clip.samples[:n_samples], rate)
+
+
+# (source, rate, n_samples): every synth cause, odd and even n, the 0.25 s
+# timbre minimum, 8000 / 22050 / 44100 Hz, and a 200 Hz clip whose only
+# band ends at Nyquist.  Bark bands reach Nyquist at 200, 8000 and 16000 Hz.
+ORACLE_CLIPS = (
+    [(cause, 16000, 16000) for cause in ("normal", "buzz", "hiss", "rumble", "muffle")]
+    + [("buzz", 16000, 15999), ("hiss", 16000, 4000), ("rumble", 16000, 4001),
+       ("noise", 8000, 8000), ("noise", 8000, 2001), ("noise", 22050, 22050),
+       ("noise", 22050, 5513), ("noise", 44100, 44100), ("noise", 44100, 11025),
+       ("noise", 200, 200), ("noise", 200, 201)])
+
+
+def assert_envelopes_match_reference(clip):
+    """band_envelopes over the clip's Bark bands equals the oracle to 1e-12
+    of the oracle's largest envelope value, or both find an empty band."""
+    edges = bark_band_edges(clip.sample_rate)
+    try:
+        ref = _reference_band_envelopes(clip, edges).band_envelopes
+    except EmptyBandError:
+        with pytest.raises(EmptyBandError):
+            band_envelopes(clip, edges)
+        return
+    out = band_envelopes(clip, edges).band_envelopes
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-12 * ref.max()
+
+
+class TestBandEnvelopesMatchReference:
+    @pytest.mark.parametrize("source,rate,n_samples", ORACLE_CLIPS)
+    def test_clips(self, source, rate, n_samples):
+        assert_envelopes_match_reference(oracle_clip(source, rate, n_samples))
+
+    @pytest.mark.parametrize("edges", [
+        [(7700.0, 8000.0)],                    # ends at Nyquist: bin 8000 kept
+        [(7999.0, 8000.0)],                    # the Nyquist bin alone
+        [(20.0, 100.0), (100.0, 200.0)],       # bins on a shared edge
+        [(0.5, 1.5)],                          # the first bin above DC alone
+    ])
+    def test_band_edges_on_bins(self, edges):
+        clip = _uniform_clip(16000, 16000, seed=5)
+        out = band_envelopes(clip, edges).band_envelopes
+        ref = _reference_band_envelopes(clip, edges).band_envelopes
+        assert np.abs(out - ref).max() <= 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("n_samples,edges", [
+        (15999, [(7999.6, 8000.0)]),           # odd n: no bin at Nyquist
+        (16000, [(7999.2, 7999.8)]),           # between two bins
+    ])
+    def test_same_empty_band_errors(self, n_samples, edges):
+        clip = _uniform_clip(16000, n_samples, seed=6)
+        with pytest.raises(EmptyBandError):
+            _reference_band_envelopes(clip, edges)
+        with pytest.raises(EmptyBandError):
+            band_envelopes(clip, edges)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rate=st.integers(100, 48000), seconds=st.floats(0.25, 1.0))
+    def test_property(self, rate, seconds):
+        assert_envelopes_match_reference(
+            _uniform_clip(rate, max(1, round(seconds * rate)), seed=rate))

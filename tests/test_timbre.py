@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from timbrediff.frontend import AudioClip, CANONICAL_RATE
+from timbrediff.frontend import AudioClip, CANONICAL_RATE, EmptyBandError, bark_band_edges
 from timbrediff.synth import am_buzz, apply_transform, default_benchmark_specs, generate_clip
 from timbrediff.timbre import (
     ATTRIBUTE_NAMES,
+    ROUGHNESS_MOD_BAND_HZ,
     ClipTooShortError,
     SilentClipError,
     TimbreAttribute,
     TimbreVector,
+    _roughness,
     compute_timbre_vector,
     read_timbre_csv,
     read_timbre_table,
@@ -16,6 +20,7 @@ from timbrediff.timbre import (
 )
 
 from conftest import bandlimited_noise, make_tone
+from test_frontend import ORACLE_CLIPS, _reference_band_envelopes, _uniform_clip, oracle_clip
 
 BIN_HZ = CANONICAL_RATE / 1024  # 15.625 Hz; bin-exact tones leak nowhere
 
@@ -112,6 +117,56 @@ class TestRoughness:
     def test_silent(self):
         with pytest.raises(SilentClipError):
             compute_timbre_vector(AudioClip(np.zeros(16000), CANONICAL_RATE))
+
+
+def _reference_roughness(clip: AudioClip, loudness: np.ndarray) -> float:
+    """Oracle: the former _roughness, which band-passes each envelope by
+    zeroing its spectrum outside 30-150 Hz and transforming back."""
+    edges = bark_band_edges(clip.sample_rate)
+    envelopes = _reference_band_envelopes(clip, edges).band_envelopes
+
+    n = envelopes.shape[1]
+    freqs = np.fft.rfftfreq(n, 1.0 / clip.sample_rate)
+    lo, hi = ROUGHNESS_MOD_BAND_HZ
+    keep = (freqs >= lo) & (freqs <= hi)
+    env_spectrum = np.fft.rfft(envelopes, axis=1)
+    env_spectrum[:, ~keep] = 0.0
+    modulation = np.fft.irfft(env_spectrum, n=n, axis=1)
+
+    mod_rms = np.sqrt((modulation ** 2).mean(axis=1))
+    mod_index = mod_rms / (envelopes.mean(axis=1) + 1e-12)
+    return float((loudness * mod_index).sum() / loudness.sum())
+
+
+def assert_roughness_matches_reference(clip):
+    """_roughness equals the oracle to 1e-12 relative, or both find an
+    empty band.  Loudness weights are arbitrary positive values."""
+    loudness = np.linspace(1.0, 2.0, len(bark_band_edges(clip.sample_rate)))
+    try:
+        ref = _reference_roughness(clip, loudness)
+    except EmptyBandError:
+        with pytest.raises(EmptyBandError):
+            _roughness(clip, loudness)
+        return
+    assert _roughness(clip, loudness) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+class TestRoughnessMatchesReference:
+    @pytest.mark.parametrize("source,rate,n_samples", ORACLE_CLIPS)
+    def test_clips(self, source, rate, n_samples):
+        assert_roughness_matches_reference(oracle_clip(source, rate, n_samples))
+
+    @pytest.mark.parametrize("n_samples", [400, 1000])
+    def test_nyquist_bin_weight(self, n_samples):
+        # At 200 Hz, Nyquist (100 Hz) lies inside the 30-150 Hz modulation
+        # band; with even n its bin has no mirror and counts once.
+        assert_roughness_matches_reference(_uniform_clip(200, n_samples, seed=n_samples))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rate=st.integers(100, 48000), seconds=st.floats(0.25, 1.0))
+    def test_property(self, rate, seconds):
+        assert_roughness_matches_reference(
+            _uniform_clip(rate, max(1, round(seconds * rate)), seed=rate))
 
 
 class TestBoominess:
