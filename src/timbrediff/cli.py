@@ -27,7 +27,6 @@ from .dataset import (
 from .detector import (
     DEFAULT_K,
     DEFAULT_T,
-    global_baseline_score,
     read_results_csv,
     score_clips,
     write_results_csv,
@@ -166,8 +165,8 @@ def cmd_score(args) -> int:
     ref, config = load_model(args.model)
     if args.distance:
         ref = replace(ref, distance_kind=DistanceKind.parse(args.distance))
-    k = args.k if args.k is not None else int(config["k"])
-    t = args.t if args.t is not None else float(config["t"])
+    k = args.k if args.k is not None else config["k"]
+    t = args.t if args.t is not None else config["t"]
     provider = config["provider"]
     if provider not in DEFAULT_DISTANCE:
         raise ModelDirectoryError(f"{args.model}: unknown provider {provider!r}")
@@ -178,12 +177,8 @@ def cmd_score(args) -> int:
     z32 = ((raw - norm.mean) / norm.std).astype("<f4").astype(np.float64)
     query_embeddings = [Embedding(z, provider, cid) for cid, z in zip(clip_ids, z32)]
     query_timbres = [_stored_precision(vec) for _, vec in timbre_rows]
-    results = score_clips(ref, query_embeddings, query_timbres, k=k, t=t)
-    if args.baseline == "global":
-        for i, query_timbre in enumerate(query_timbres):
-            scores, labels = global_baseline_score(ref, query_timbre, t=t)
-            results[i] = replace(results[i], attribute_scores=scores,
-                                 attribute_labels=labels)
+    results = score_clips(ref, query_embeddings, query_timbres, k=k, t=t,
+                          baseline=args.baseline)
 
     atomic_write(args.out, lambda p: write_results_csv(p, results))
     _log(f"score: {len(results)} test clips, k={k}, t={t}, "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvrows import read_rows
-from .detector import threshold_label
+from .detector import auc, threshold_label
 from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES
 
 DEFAULT_T_PRIME = 0.05
@@ -99,33 +99,6 @@ def write_manifest_csv(path, entries) -> None:
 
 
 # ---------------------------------------------------------------------------
-# AUC
-# ---------------------------------------------------------------------------
-
-def auc(negative_scores, positive_scores) -> float:
-    """Area under the ROC curve via midranks, ties counted one half.
-
-    Equals pair counting exactly: (wins + 0.5 * ties) / (n_neg * n_pos),
-    computed in O(n log n) through the rank-sum identity.
-    """
-    neg = np.asarray(negative_scores, dtype=np.float64)
-    pos = np.asarray(positive_scores, dtype=np.float64)
-    if neg.size == 0 or pos.size == 0:
-        raise ValueError("auc requires non-empty negative and positive score lists")
-    if not (np.all(np.isfinite(neg)) and np.all(np.isfinite(pos))):
-        raise ValueError("auc requires finite scores")
-
-    combined = np.concatenate([neg, pos])
-    _, inverse, counts = np.unique(combined, return_inverse=True,
-                                   return_counts=True)
-    ends = np.cumsum(counts)
-    midranks = (ends - counts + 1 + ends) / 2.0     # average rank per distinct value
-    pos_rank_sum = midranks[inverse[neg.size:]].sum()
-    u = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
-    return float(u / (neg.size * pos.size))
-
-
-# ---------------------------------------------------------------------------
 # Ground truth generation
 # ---------------------------------------------------------------------------
 
@@ -169,8 +142,8 @@ def generate_ground_truth(entries, timbre_vectors,
             auc(normal_values[:, col], anomalous_values[:, col])
             for col in range(N_ATTRIBUTES)
         ])
-        labels = np.array([threshold_label(s, t_prime) for s in scores], dtype=int)
-        records.append(GroundTruthRecord(condition_id, cause_id, scores, labels))
+        records.append(GroundTruthRecord(condition_id, cause_id, scores,
+                                         threshold_label(scores, t_prime)))
     return records
 
 

@@ -165,59 +165,88 @@ def anomaly_score(distances) -> float:
     return float(np.mean(distances))
 
 
-def timbre_rank_score(test_value: float, neighbor_values) -> float:
-    """Normalized rank of the test value among the neighbors' values.
+def _u_counts(values, reference) -> np.ndarray:
+    """Per value, the reference values below it plus half those equal to it.
+
+    The Mann-Whitney count behind every rank score and AUC: one sort of
+    the reference, then two binary searches per value.  Each count is a
+    half-integer, which float64 holds exactly.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    if reference.ndim != 1 or reference.size == 0:
+        raise ValueError("need a non-empty 1-D reference")
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(reference))):
+        raise ValueError("rank counts require finite values")
+    reference = np.sort(reference)
+    below = np.searchsorted(reference, values, side="left")
+    return below + 0.5 * (np.searchsorted(reference, values, side="right") - below)
+
+
+def auc(negative_scores, positive_scores) -> float:
+    """Area under the ROC curve, ties counted one half: the normalized U,
+    (wins + 0.5 * ties) / (n_neg * n_pos) over all pairs."""
+    neg, pos = np.asarray(negative_scores), np.asarray(positive_scores)
+    if pos.ndim != 1 or pos.size == 0:
+        raise ValueError("auc requires non-empty 1-D score lists")
+    return float(_u_counts(pos, neg).sum() / (neg.size * pos.size))
+
+
+def timbre_rank_score(test_values, neighbor_values):
+    """Normalized rank of each test value among the neighbors' values.
 
     Counts one per neighbor strictly below the test value and one half per
     exact tie, divided by the neighbor count: the normalized Mann-Whitney
-    U statistic.  0 means below all neighbors, 1 means above all.
+    U statistic.  0 means below all neighbors, 1 means above all.  A float
+    for a scalar test value, an array for an array.
     """
-    values = np.asarray(neighbor_values, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("need at least one neighbor value")
-    if not (np.isfinite(test_value) and np.all(np.isfinite(values))):
-        raise ValueError("rank score requires finite values")
-    wins = np.count_nonzero(values < test_value)
-    ties = np.count_nonzero(values == test_value)
-    return float((wins + 0.5 * ties) / values.size)
+    scores = _u_counts(test_values, neighbor_values) / np.size(neighbor_values)
+    return scores if scores.ndim else float(scores)
 
 
-def threshold_label(score: float, t: float) -> int:
-    """Map a rank score to -1 (<= t), +1 (>= 1-t) or 0 (strictly between)."""
+def threshold_label(scores, t: float):
+    """Map rank scores to -1 (<= t), +1 (>= 1-t) or 0 (strictly between).
+
+    An int for a scalar score, an int array for an array.
+    """
     if not 0.0 <= t < 0.5:
         raise ValueError(f"threshold t must lie in [0, 0.5), got {t}")
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score must lie in [0, 1], got {score}")
-    if score <= t:
-        return -1
-    if score >= 1.0 - t:
-        return 1
-    return 0
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all((scores >= 0.0) & (scores <= 1.0)):
+        raise ValueError(f"scores must lie in [0, 1], got {scores}")
+    labels = np.where(scores <= t, -1, (scores >= 1.0 - t).astype(int))
+    return labels if labels.ndim else int(labels)
 
 
 def _rank_and_label(query_values, reference_values, t: float):
-    """Per-attribute rank scores and labels of a query against timbre rows."""
-    scores = np.array([
-        timbre_rank_score(query_values[col], reference_values[:, col])
+    """Rank scores and labels of [..., 5] values against [N x 5] rows."""
+    scores = np.stack([
+        timbre_rank_score(query_values[..., col], reference_values[:, col])
         for col in range(N_ATTRIBUTES)
-    ])
-    labels = np.array([threshold_label(s, t) for s in scores], dtype=int)
-    return scores, labels
+    ], axis=-1)
+    return scores, threshold_label(scores, t)
 
 
 def score_clips(ref: ReferenceSet, query_embeddings, query_timbres,
-                k: int = DEFAULT_K, t: float = DEFAULT_T) -> list:
-    """score_clip for each query, all answered by one kNN search."""
+                k: int = DEFAULT_K, t: float = DEFAULT_T, baseline=None) -> list:
+    """score_clip for each query, all answered by one kNN search.
+
+    With baseline="global", attribute scores and labels rank each query
+    against every training clip instead of its neighbors.
+    """
     query_embeddings = list(query_embeddings)
     indices, distances = knn(ref, query_embeddings, k)
-    results = []
-    for emb, timbre, rows, dists in zip(query_embeddings, query_timbres,
-                                        indices, distances):
-        scores, labels = _rank_and_label(timbre.as_array(),
-                                         ref.timbre_values[rows], t)
-        results.append(TimbreDiffResult(emb.clip_id, anomaly_score(dists),
-                                        scores, labels, rows))
-    return results
+    values = np.array([tv.as_array() for tv in query_timbres]).reshape(-1, N_ATTRIBUTES)
+    if baseline == "global":
+        ranked = zip(*global_baseline_score(ref, values, t))
+    elif baseline is None:
+        ranked = (_rank_and_label(v, ref.timbre_values[rows], t)
+                  for v, rows in zip(values, indices))
+    else:
+        raise ValueError(f"unknown baseline {baseline!r}")
+    return [TimbreDiffResult(emb.clip_id, anomaly_score(dists), scores, labels, rows)
+            for emb, dists, (scores, labels), rows
+            in zip(query_embeddings, distances, ranked, indices)]
 
 
 def score_clip(ref: ReferenceSet, query_embedding: Embedding, query_timbre,
@@ -226,9 +255,13 @@ def score_clip(ref: ReferenceSet, query_embedding: Embedding, query_timbre,
     return score_clips(ref, [query_embedding], [query_timbre], k, t)[0]
 
 
-def global_baseline_score(ref: ReferenceSet, query_timbre, t: float = DEFAULT_T):
-    """Rank scores and labels against all training clips instead of neighbors."""
-    return _rank_and_label(query_timbre.as_array(), ref.timbre_values, t)
+def global_baseline_score(ref: ReferenceSet, query_values, t: float = DEFAULT_T):
+    """[Q x 5] rank scores and labels of [Q x 5] timbre values against all
+    training clips instead of neighbors; each column is sorted once."""
+    query_values = np.asarray(query_values, dtype=np.float64)
+    if query_values.ndim != 2 or query_values.shape[1] != N_ATTRIBUTES:
+        raise ValueError(f"query values must be [Q x {N_ATTRIBUTES}]")
+    return _rank_and_label(query_values, ref.timbre_values, t)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ class DistanceKind(Enum):
     @classmethod
     def parse(cls, name: str) -> "DistanceKind":
         try:
-            return cls(name.lower())
+            return cls(str(name).lower())
         except ValueError:
             raise ValueError(f"unknown distance kind {name!r}") from None
 
@@ -217,8 +217,11 @@ def read_tdce(path):
             f"{path}: id count mismatch ({len(ids)} ids for {count} embeddings)"
         )
 
-    vectors = np.frombuffer(raw, "<f4", count * dim, _TDCE_HEADER.size)
-    return ids, vectors.reshape(count, dim).astype(np.float64)
+    vectors = np.frombuffer(raw, "<f4", count * dim, _TDCE_HEADER.size).reshape(count, dim)
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        raise TdceError(f"{path}: embedding row {bad[0]} (clip {ids[bad[0]]!r}) is not finite")
+    return ids, vectors.astype(np.float64)
 
 
 def import_embeddings(path, provider_id: str = EXTERNAL_PROVIDER) -> list:

@@ -39,11 +39,6 @@ class EvalReport:
         }
 
 
-def detection_auc(normal_scores, anomalous_scores) -> float:
-    """AUC of anomaly scores, normals as negatives."""
-    return auc(normal_scores, anomalous_scores)
-
-
 def truth_label_counts(truths) -> np.ndarray:
     """counts[attribute, value_index] over the truth labels."""
     counts = np.zeros((N_ATTRIBUTES, len(LABEL_VALUES)), dtype=int)
@@ -112,7 +107,7 @@ def build_report(results, entries, records) -> EvalReport:
         for col, name in enumerate(ATTRIBUTE_NAMES)
     }
     return EvalReport(
-        detection_auc=detection_auc(normal_scores, anomalous_scores),
+        detection_auc=auc(normal_scores, anomalous_scores),
         mae={name: float(mae_values[col]) for col, name in enumerate(ATTRIBUTE_NAMES)},
         mean_mae=float(mae_values.mean()),
         counts=counts_dict,

@@ -99,29 +99,6 @@ class Spectrogram:
         return float(self.bin_freqs[-1])
 
 
-@dataclass(frozen=True)
-class BandDecomposition:
-    """Per-band analytic envelopes: band_envelopes[band, sample]."""
-
-    band_edges: tuple
-    band_envelopes: np.ndarray
-
-    def __post_init__(self):
-        env = np.asarray(self.band_envelopes, dtype=np.float64)
-        if env.ndim != 2 or env.shape[0] != len(self.band_edges):
-            raise ValueError("band_envelopes must be [bands x samples]")
-        if np.any(env < 0) or not np.all(np.isfinite(env)):
-            raise ValueError("envelopes must be finite and nonnegative")
-        lows = [lo for lo, _ in self.band_edges]
-        highs = [hi for _, hi in self.band_edges]
-        if any(hi <= lo for lo, hi in self.band_edges):
-            raise ValueError("band edges must satisfy lo < hi")
-        if any(l2 < h1 for h1, l2 in zip(highs, lows[1:])):
-            raise ValueError("bands must be ordered with non-overlapping interiors")
-        object.__setattr__(self, "band_edges", tuple(map(tuple, self.band_edges)))
-        object.__setattr__(self, "band_envelopes", env)
-
-
 # ---------------------------------------------------------------------------
 # WAV I/O (RIFF, PCM16 and IEEE float32)
 # ---------------------------------------------------------------------------
@@ -326,8 +303,8 @@ def bark_band_powers(spec: Spectrogram) -> np.ndarray:
     return out
 
 
-def band_envelopes(clip: AudioClip, band_edges) -> BandDecomposition:
-    """Analytic-signal magnitude envelopes of FFT-isolated bands.
+def band_envelopes(clip: AudioClip, band_edges) -> np.ndarray:
+    """Analytic-signal magnitude envelopes of FFT-isolated bands, [bands x n].
 
     Per band the one-sided (real-input) spectrum's bins in [lo, hi), one
     contiguous range, are doubled into a zero full-length spectrum and
@@ -354,5 +331,4 @@ def band_envelopes(clip: AudioClip, band_edges) -> BandDecomposition:
         if n % 2 == 0 and stop > n // 2:
             masked[row, n // 2] /= 2               # the even-n Nyquist bin
 
-    envelopes = np.abs(np.fft.ifft(masked, axis=1))
-    return BandDecomposition(tuple(band_edges), envelopes)
+    return np.abs(np.fft.ifft(masked, axis=1))

@@ -94,52 +94,51 @@ def load_model(model_dir):
     config_path = model_dir / CONFIG_NAME
     if not config_path.exists():
         raise ModelDirectoryError(f"{model_dir}: missing {CONFIG_NAME}")
-    with open(config_path) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict) or config.get("format") != MODEL_FORMAT:
-        raise ModelDirectoryError(f"{model_dir}: not a model directory")
-    missing = [key for key in ("provider", "distance", "k", "t", "count", "dim")
-               if key not in config]
-    if missing:
-        raise ModelDirectoryError(f"{config_path}: missing key {missing[0]!r}")
+    try:                        # any fault in the file's values names the file
+        with open(config_path) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict) or config.get("format") != MODEL_FORMAT:
+            raise ValueError("not a model directory")
+        missing = [key for key in ("provider", "distance", "k", "t", "count", "dim")
+                   if key not in config]
+        if missing:
+            raise ValueError(f"missing key {missing[0]!r}")
+        config.update(k=int(config["k"]), t=float(config["t"]))
+        distance = DistanceKind.parse(config["distance"])
+    except (TypeError, ValueError) as exc:
+        raise ModelDirectoryError(f"{config_path}: {exc}") from None
 
     ids, vectors = read_tdce(model_dir / EMBEDDINGS_NAME)
     timbre_ids, timbre_values = read_timbre_table(model_dir / TIMBRE_NAME)
-    with open(model_dir / NORMALIZATION_NAME) as fh:
-        norm_data = json.load(fh)
-    if not isinstance(norm_data, dict) or not {"mean", "std"} <= norm_data.keys():
-        raise ModelDirectoryError(
-            f"{model_dir / NORMALIZATION_NAME}: needs keys 'mean' and 'std'")
-    normalization = NormalizationStats(norm_data["mean"], norm_data["std"])
+    norm_path = model_dir / NORMALIZATION_NAME
+    try:
+        with open(norm_path) as fh:
+            norm_data = json.load(fh)
+        if not isinstance(norm_data, dict) or not {"mean", "std"} <= norm_data.keys():
+            raise ValueError("needs keys 'mean' and 'std'")
+        normalization = NormalizationStats(norm_data["mean"], norm_data["std"])
+    except (TypeError, ValueError) as exc:
+        raise ModelDirectoryError(f"{norm_path}: {exc}") from None
 
     count, dim = vectors.shape
     if count != config["count"]:
-        raise ModelDirectoryError(
-            f"{model_dir}: embedding count {count} does not match "
-            f"config count {config['count']}"
-        )
+        raise ModelDirectoryError(f"{model_dir}: embedding count {count} does not "
+                                  f"match config count {config['count']}")
     if config["dim"] != dim:
-        raise ModelDirectoryError(
-            f"{model_dir}: config dim {config['dim']} does not match "
-            f"embedding dim {dim}"
-        )
+        raise ModelDirectoryError(f"{model_dir}: config dim {config['dim']} does not "
+                                  f"match embedding dim {dim}")
     if normalization.dim != dim:
-        raise ModelDirectoryError(
-            f"{model_dir}: {NORMALIZATION_NAME} dim {normalization.dim} does "
-            f"not match embedding dim {dim}"
-        )
+        raise ModelDirectoryError(f"{model_dir}: {NORMALIZATION_NAME} dim {normalization.dim}"
+                                  f" does not match embedding dim {dim}")
     timbre_row = {clip_id: i for i, clip_id in enumerate(timbre_ids)}
     missing = [clip_id for clip_id in ids if clip_id not in timbre_row]
     if missing:
         raise ModelDirectoryError(
-            f"{model_dir}: clip {missing[0]!r} has embeddings but no timbre row"
-        )
+            f"{model_dir}: clip {missing[0]!r} has embeddings but no timbre row")
     if len(timbre_ids) != count:
-        raise ModelDirectoryError(
-            f"{model_dir}: timbre rows ({len(timbre_ids)}) do not match "
-            f"embeddings ({count})"
-        )
+        raise ModelDirectoryError(f"{model_dir}: timbre rows ({len(timbre_ids)}) do not "
+                                  f"match embeddings ({count})")
 
     timbre = timbre_values[[timbre_row[clip_id] for clip_id in ids]]
     return ReferenceSet(vectors, timbre, tuple(ids), config["provider"],
-                        DistanceKind.parse(config["distance"]), normalization), config
+                        distance, normalization), config

@@ -138,7 +138,7 @@ def _depth(spec: Spectrogram) -> float:
 
 def _roughness(clip: AudioClip, loudness: np.ndarray) -> float:
     edges = bark_band_edges(clip.sample_rate)
-    envelopes = band_envelopes(clip, edges).band_envelopes
+    envelopes = band_envelopes(clip, edges)
 
     # RMS of each envelope's 30-150 Hz band-pass by Parseval over its kept bins k:
     # weight 2 (k and its mirror), 1 at DC and an even n's Nyquist (2k = 0 mod n).

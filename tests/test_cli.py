@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -362,6 +363,62 @@ def test_silent_clip_names_its_file(tiny_dataset, fitted, tmp_path, capsys, stag
     assert run(*argv) == 1
     assert capsys.readouterr().err == (
         f"error: {root / entry.path}: silent input: total framed power below threshold\n")
+
+
+def edit_json(path, key, value):
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+
+
+def nan_row(path, row):
+    """Set the first component of one TDCE row to a float32 NaN."""
+    data = bytearray(path.read_bytes())
+    dim = struct.unpack_from("<I", data, 8)[0]
+    struct.pack_into("<f", data, 16 + 4 * dim * row, float("nan"))
+    path.write_bytes(bytes(data))
+
+
+# case -> (file of the model it damages, damage, fragment of the message)
+BAD_MODEL_VALUES = {
+    "normalization_nan": ("normalization.json",
+                          lambda p: p.write_text(re.sub(r"-?\d[^,\n]*", "NaN", p.read_text(),
+                                                        count=1)),
+                          "normalization stats must be finite"),
+    "normalization_text": ("normalization.json", lambda p: edit_json(p, "std", "abc"),
+                           "could not convert string to float: 'abc'"),
+    "config_k_text": ("config.json", lambda p: edit_json(p, "k", "abc"),
+                      "invalid literal for int() with base 10: 'abc'"),
+    "config_distance": ("config.json", lambda p: edit_json(p, "distance", "manhattan"),
+                        "unknown distance kind 'manhattan'"),
+    "config_not_json": ("config.json", lambda p: p.write_text(p.read_text().replace('"k"', "k")),
+                        "Expecting property name enclosed in double quotes"),
+    "tdce_nan": ("embeddings.tdce", lambda p: nan_row(p, 3), "embedding row 3 (clip "),
+    "external_tdce_nan": (None, None, "embedding row 3 (clip "),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MODEL_VALUES))
+def test_bad_value_names_its_file(tiny_dataset, model_copy, tmp_path, capsys, case):
+    name, damage, fragment = BAD_MODEL_VALUES[case]
+    common = ["--manifest", tiny_dataset / "manifest.csv", "--audio-root", tiny_dataset]
+    if name is None:            # fit reads a damaged --embeddings file
+        path = tmp_path / "ext.tdce"
+        write_embeddings(path, [Embedding(np.ones(4), "external", e.clip_id)
+                                for e in load_manifest(tiny_dataset / "manifest.csv")])
+        nan_row(path, 3)
+        argv = ["fit", *common, "--provider", "external", "--embeddings", path,
+                "--out", tmp_path / "m"]
+    else:
+        path = model_copy / name
+        damage(path)
+        argv = ["score", "--model", model_copy, *common, "--out", tmp_path / "r.csv"]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and fragment in err, err
+    if name == "embeddings.tdce" or name is None:
+        clip = (path.parent / (path.name + ".ids.csv")).read_text().splitlines()[4]
+        assert f"(clip {clip.split(',', 1)[1]!r}) is not finite" in err
 
 
 class TestGenGtAndEval:

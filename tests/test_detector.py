@@ -303,16 +303,15 @@ class TestGlobalBaseline:
         timbre = rng.uniform(0.1, 0.4, size=(10, 5))
         timbre[:, 3] += 500.0
         ref = make_ref(rng.normal(size=(10, 2)), timbre)
-        query = TimbreVector.from_array(timbre.max(axis=0) + 0.05)
-        scores, labels = global_baseline_score(ref, query, t=0.1)
+        query = timbre.max(axis=0) + 0.05
+        scores, labels = global_baseline_score(ref, [query], t=0.1)
         assert np.all(scores == 1.0)
         assert np.all(labels == 1)
 
     def test_single_training_clip_tie(self):
         timbre = np.array([[2.0, 0.3, 0.4, 800.0, 0.6]])
         ref = make_ref(np.zeros((1, 2)), timbre)
-        scores, labels = global_baseline_score(
-            ref, TimbreVector.from_array(timbre[0]), t=0.1)
+        scores, labels = global_baseline_score(ref, timbre, t=0.1)
         assert np.all(scores == 0.5)
         assert np.all(labels == 0)
 
@@ -324,10 +323,114 @@ class TestGlobalBaseline:
         ref = make_ref(rng.normal(size=(n, 2)), timbre)
         tv = rng.uniform(0.1, 0.9, size=5)
         tv[3] += 500.0
-        scores, _ = global_baseline_score(ref, TimbreVector.from_array(tv))
+        scores, _ = global_baseline_score(ref, [tv])
         for col in range(5):
             expected = brute_force_u(tv[col], timbre[:, col]) / n
-            assert abs(scores[col] - expected) < 1e-12
+            assert abs(scores[0, col] - expected) < 1e-12
+
+    def test_score_clips_global_keeps_knn_and_ranks_each_query(self):
+        rng = np.random.default_rng(55)
+        timbre = rng.integers(1, 5, size=(20, 5)) / 4       # many ties
+        ref = make_ref(rng.normal(size=(20, 3)), timbre)
+        queries = [make_query(rng.normal(size=3), f"q{i}") for i in range(6)]
+        values = rng.integers(1, 5, size=(6, 5)) / 4
+        tvs = [TimbreVector.from_array(v) for v in values]
+        knn_results = detector.score_clips(ref, queries, tvs, k=4, t=0.25)
+        global_results = detector.score_clips(ref, queries, tvs, k=4, t=0.25,
+                                              baseline="global")
+        for res_knn, res, value in zip(knn_results, global_results, values):
+            scores, labels = global_baseline_score(ref, [value], t=0.25)
+            assert res.clip_id == res_knn.clip_id
+            assert res.anomaly_score == res_knn.anomaly_score
+            assert np.array_equal(res.neighbor_indices, res_knn.neighbor_indices)
+            assert res.attribute_scores.tolist() == scores[0].tolist()
+            assert res.attribute_labels.tolist() == labels[0].tolist()
+        with pytest.raises(ValueError, match="unknown baseline"):
+            detector.score_clips(ref, queries, tvs, k=4, baseline="knn")
+
+
+def _reference_rank_score(test_value: float, neighbor_values) -> float:
+    """Oracle: the former timbre_rank_score, counting wins and ties directly."""
+    values = np.asarray(neighbor_values, dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("need at least one neighbor value")
+    if not (np.isfinite(test_value) and np.all(np.isfinite(values))):
+        raise ValueError("rank score requires finite values")
+    wins = np.count_nonzero(values < test_value)
+    ties = np.count_nonzero(values == test_value)
+    return float((wins + 0.5 * ties) / values.size)
+
+
+def _reference_auc(negative_scores, positive_scores) -> float:
+    """Oracle: the former dataset.auc, through midranks and the rank-sum identity."""
+    neg = np.asarray(negative_scores, dtype=np.float64)
+    pos = np.asarray(positive_scores, dtype=np.float64)
+    if neg.size == 0 or pos.size == 0:
+        raise ValueError("auc requires non-empty negative and positive score lists")
+    if not (np.all(np.isfinite(neg)) and np.all(np.isfinite(pos))):
+        raise ValueError("auc requires finite scores")
+
+    combined = np.concatenate([neg, pos])
+    _, inverse, counts = np.unique(combined, return_inverse=True,
+                                   return_counts=True)
+    ends = np.cumsum(counts)
+    midranks = (ends - counts + 1 + ends) / 2.0     # average rank per distinct value
+    pos_rank_sum = midranks[inverse[neg.size:]].sum()
+    u = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
+    return float(u / (neg.size * pos.size))
+
+
+def _reference_label(score: float, t: float) -> int:
+    return -1 if score <= t else 1 if score >= 1.0 - t else 0
+
+
+# Heavily tied values from a small integer set, or spread-out floats.
+SAMPLES = st.one_of(
+    st.lists(st.integers(0, 3).map(float), min_size=1, max_size=40),
+    st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=40),
+)
+
+
+class TestOneCountMatchesReference:
+    """auc, timbre_rank_score and global_baseline_score share one U count;
+    each equals its former implementation bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(neg=SAMPLES, pos=SAMPLES)
+    def test_auc(self, neg, pos):
+        assert detector.auc(neg, pos) == _reference_auc(neg, pos)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tests=SAMPLES, neighbors=SAMPLES)
+    def test_batched_rank_score(self, tests, neighbors):
+        batched = timbre_rank_score(np.array(tests), neighbors)
+        expected = [_reference_rank_score(v, neighbors) for v in tests]
+        assert batched.tolist() == expected
+        assert timbre_rank_score(tests[0], neighbors) == expected[0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 30), q=st.integers(0, 8),
+           t=st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.49]))
+    def test_batched_global_baseline(self, data, n, q, t):
+        small = st.integers(1, 4).map(lambda v: v / 4)      # in (0, 1]; many ties
+        timbre = np.array(data.draw(st.lists(st.lists(small, min_size=5, max_size=5),
+                                             min_size=n, max_size=n)))
+        queries = np.array(data.draw(st.lists(st.lists(small, min_size=5, max_size=5),
+                                              min_size=q, max_size=q))).reshape(q, 5)
+        ref = make_ref(np.zeros((n, 1)), timbre)
+        scores, labels = global_baseline_score(ref, queries, t)
+        assert scores.shape == labels.shape == (q, 5)
+        for i, query in enumerate(queries):
+            expected = [_reference_rank_score(query[col], timbre[:, col])
+                        for col in range(5)]
+            assert scores[i].tolist() == expected
+            assert labels[i].tolist() == [_reference_label(s, t) for s in expected]
+
+    def test_threshold_label_array_matches_scalar(self):
+        scores = np.linspace(0.0, 1.0, 41)
+        for t in (0.0, 0.05, 0.1, 0.3):
+            assert threshold_label(scores, t).tolist() == \
+                [threshold_label(s, t) for s in scores]
 
 
 class TestResultsCsv:

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from timbrediff.dataset import GroundTruthRecord, ManifestEntry
-from timbrediff.detector import TimbreDiffResult
+from timbrediff.detector import TimbreDiffResult, auc
 from timbrediff.evaluation import (
     CoverageError,
     build_report,
-    detection_auc,
     normalized_mae,
     write_report_json,
 )
@@ -43,17 +42,17 @@ def wide(label):
 
 class TestDetectionAuc:
     def test_separated(self):
-        assert detection_auc([0.1, 0.2], [0.8, 0.9]) == 1.0
+        assert auc([0.1, 0.2], [0.8, 0.9]) == 1.0
 
     def test_identical(self):
-        assert detection_auc([0.3, 0.7], [0.3, 0.7]) == 0.5
+        assert auc([0.3, 0.7], [0.3, 0.7]) == 0.5
 
     def test_interleaved(self):
-        assert detection_auc([1, 3], [2, 4]) == 0.75
+        assert auc([1, 3], [2, 4]) == 0.75
 
     def test_empty_side(self):
         with pytest.raises(ValueError):
-            detection_auc([], [1.0])
+            auc([], [1.0])
 
 
 class TestNormalizedMae:

@@ -123,7 +123,7 @@ def _reference_roughness(clip: AudioClip, loudness: np.ndarray) -> float:
     """Oracle: the former _roughness, which band-passes each envelope by
     zeroing its spectrum outside 30-150 Hz and transforming back."""
     edges = bark_band_edges(clip.sample_rate)
-    envelopes = _reference_band_envelopes(clip, edges).band_envelopes
+    envelopes = _reference_band_envelopes(clip, edges)
 
     n = envelopes.shape[1]
     freqs = np.fft.rfftfreq(n, 1.0 / clip.sample_rate)
