@@ -27,6 +27,8 @@ from .dataset import (
 from .detector import (
     DEFAULT_K,
     DEFAULT_T,
+    check_k,
+    check_t,
     read_results_csv,
     score_clips,
     write_results_csv,
@@ -165,11 +167,12 @@ def cmd_score(args) -> int:
     ref, config = load_model(args.model)
     if args.distance:
         ref = replace(ref, distance_kind=DistanceKind.parse(args.distance))
+    if args.k is not None:      # an override fails before any clip is analysed
+        check_k(args.k, ref.size)
     k = args.k if args.k is not None else config["k"]
     t = args.t if args.t is not None else config["t"]
+    check_t(t)
     provider = config["provider"]
-    if provider not in DEFAULT_DISTANCE:
-        raise ModelDirectoryError(f"{args.model}: unknown provider {provider!r}")
 
     tests = [e for e in load_manifest(args.manifest) if e.split == "test"]
     clip_ids, timbre_rows, raw = _analyse(args, tests, provider)

@@ -130,6 +130,18 @@ def _gram_candidates(matrix, queries, kind, k: int) -> list:
     return [np.flatnonzero(keep) for keep in lower <= upper[:, k - 1:k]]
 
 
+def check_k(k: int, size: int) -> None:
+    """Raise ValueError unless 1 <= k <= size (the reference rows)."""
+    if not 1 <= k <= size:
+        raise ValueError(f"k must satisfy 1 <= k <= {size}, got {k}")
+
+
+def check_t(t: float) -> None:
+    """Raise ValueError unless the label threshold t lies in [0, 0.5)."""
+    if not 0.0 <= t < 0.5:
+        raise ValueError(f"threshold t must lie in [0, 0.5), got {t}")
+
+
 def knn(ref: ReferenceSet, queries, k: int):
     """The k nearest training rows of each query Embedding, exact.
 
@@ -142,8 +154,7 @@ def knn(ref: ReferenceSet, queries, k: int):
     dim = ref.embeddings.shape[1]
     if any(q.provider_id != ref.provider_id or q.vector.size != dim for q in queries):
         raise ValueError(f"queries must be {dim}-dim {ref.provider_id!r} embeddings")
-    if not 1 <= k <= ref.size:
-        raise ValueError(f"k must satisfy 1 <= k <= {ref.size}, got {k}")
+    check_k(k, ref.size)
     indices = np.empty((len(queries), k), dtype=int)
     distances = np.empty((len(queries), k))
     block = max(1, _GRAM_BLOCK_BYTES // (8 * ref.size))
@@ -209,8 +220,7 @@ def threshold_label(scores, t: float):
 
     An int for a scalar score, an int array for an array.
     """
-    if not 0.0 <= t < 0.5:
-        raise ValueError(f"threshold t must lie in [0, 0.5), got {t}")
+    check_t(t)
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all((scores >= 0.0) & (scores <= 1.0)):
         raise ValueError(f"scores must lie in [0, 1], got {scores}")

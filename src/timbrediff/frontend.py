@@ -23,6 +23,10 @@ BARK_EDGES_HZ = np.array([
     15500,
 ], dtype=np.float64)
 
+# band_envelopes keeps every envelope bin up to this modulation frequency,
+# the top of roughness's 30-150 Hz band.
+ENVELOPE_MOD_HZ = 150.0
+
 DEFAULT_FRAME_LEN = 1024
 DEFAULT_HOP = 512
 
@@ -303,13 +307,26 @@ def bark_band_powers(spec: Spectrogram) -> np.ndarray:
     return out
 
 
-def band_envelopes(clip: AudioClip, band_edges) -> np.ndarray:
-    """Analytic-signal magnitude envelopes of FFT-isolated bands, [bands x n].
+def band_envelopes(clip: AudioClip, band_edges) -> list:
+    """Analytic-signal magnitude envelopes of FFT-isolated bands: one 1-D
+    array per band, each of its own length m.
 
     Per band the one-sided (real-input) spectrum's bins in [lo, hi), one
-    contiguous range, are doubled into a zero full-length spectrum and
-    inverse-transformed; the envelope is the magnitude of that analytic
-    signal.  A bin at exactly Nyquist is kept, unscaled, when the band reaches it.
+    contiguous range of `width` bins, are doubled to form the band's
+    analytic signal; a bin at exactly Nyquist is kept, unscaled, when the
+    band reaches it.  Shifting the bins down to baseband multiplies that
+    signal by a unit phasor, which leaves its magnitude unchanged, and a
+    length-m inverse FFT holds m >= width bins without aliasing.  So m / n
+    times its magnitude is the exact envelope at the m sample times
+    j * n / m (fractional where m does not divide n).
+
+    m is the next power of two at or above max(8 * width, 2 * (k_hi + 1),
+    512), capped at n; k_hi is the n-point rfft bin of ENVELOPE_MOD_HZ.
+    An envelope's spectrum keeps bins 1/T Hz apart at any m, so the second
+    term keeps every bin up to ENVELOPE_MOD_HZ; the first keeps small the
+    aliasing of the magnitude, which is not band-limited.  At m = n the
+    bins stay in place and the envelope is the full-length one.  Bands
+    that share an m go through one inverse FFT.
     """
     n = clip.samples.size
     nyquist = clip.sample_rate / 2.0
@@ -319,16 +336,29 @@ def band_envelopes(clip: AudioClip, band_edges) -> np.ndarray:
 
     spectrum = np.fft.rfft(clip.samples)
     freqs = np.arange(spectrum.size) * (clip.sample_rate / n)
+    doubled = 2 * spectrum
+    if n % 2 == 0:
+        doubled[n // 2] /= 2                       # the even-n Nyquist bin
+    k_hi = np.searchsorted(freqs, ENVELOPE_MOD_HZ, side="right") - 1
 
-    masked = np.zeros((len(band_edges), n), dtype=complex)
-    for row, (lo, hi) in enumerate(band_edges):
+    bands = []                                     # (first, stop, m) per band
+    for lo, hi in band_edges:
         # A band reaching Nyquist also takes a bin at exactly Nyquist.
         first = np.searchsorted(freqs, lo, side="left")
         stop = np.searchsorted(freqs, hi, side="right" if hi >= nyquist else "left")
         if stop <= first:
             raise EmptyBandError(f"band {lo}-{hi} Hz contains no spectral bins")
-        masked[row, first:stop] = 2 * spectrum[first:stop]
-        if n % 2 == 0 and stop > n // 2:
-            masked[row, n // 2] /= 2               # the even-n Nyquist bin
+        m = 1 << int(max(8 * (stop - first), 2 * (k_hi + 1), 512) - 1).bit_length()
+        bands.append((first, stop, min(m, n)))
 
-    return np.abs(np.fft.ifft(masked, axis=1))
+    envelopes = [None] * len(bands)
+    for m in {m for _, _, m in bands}:
+        rows = [i for i, (_, _, band_m) in enumerate(bands) if band_m == m]
+        shifted = np.zeros((len(rows), m), dtype=complex)
+        for row, i in zip(shifted, rows):
+            first, stop, _ = bands[i]
+            shift = first if m < n else 0
+            row[first - shift:stop - shift] = doubled[first:stop]
+        for i, env in zip(rows, np.abs(np.fft.ifft(shifted, axis=1)) * (m / n)):
+            envelopes[i] = env
+    return envelopes

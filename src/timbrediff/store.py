@@ -11,8 +11,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .detector import ReferenceSet
+from .detector import ReferenceSet, check_t
 from .embeddings import (
+    EXTERNAL_PROVIDER,
+    SPECTRAL_PROVIDER,
+    TIMBRE_PROVIDER,
     DistanceKind,
     NormalizationStats,
     read_tdce,
@@ -103,7 +106,12 @@ def load_model(model_dir):
                    if key not in config]
         if missing:
             raise ValueError(f"missing key {missing[0]!r}")
+        if config["provider"] not in (TIMBRE_PROVIDER, SPECTRAL_PROVIDER, EXTERNAL_PROVIDER):
+            raise ValueError(f"unknown provider {config['provider']!r}")
         config.update(k=int(config["k"]), t=float(config["t"]))
+        if config["k"] < 1:     # k <= count is checked where k is used
+            raise ValueError(f"k must be at least 1, got {config['k']}")
+        check_t(config["t"])
         distance = DistanceKind.parse(config["distance"])
     except (TypeError, ValueError) as exc:
         raise ModelDirectoryError(f"{config_path}: {exc}") from None

@@ -14,6 +14,7 @@ import numpy as np
 
 from .csvrows import read_rows
 from .frontend import (
+    ENVELOPE_MOD_HZ,
     AudioClip,
     Spectrogram,
     band_envelopes,
@@ -28,7 +29,7 @@ SHARPNESS_KNEE_BAND = 14        # weighting grows above this Bark band
 SHARPNESS_GROWTH = 0.171
 BOOM_BAND_COUNT = 3             # Bark bands 1..3 cover 20-300 Hz
 DEPTH_CUTOFF_HZ = 200.0
-ROUGHNESS_MOD_BAND_HZ = (30.0, 150.0)
+ROUGHNESS_MOD_BAND_HZ = (30.0, ENVELOPE_MOD_HZ)
 MIN_ROUGHNESS_DURATION = 0.25   # seconds
 
 TIMBRE_CSV_HEADER = ["clip_id", "sharpness", "roughness", "boominess",
@@ -137,20 +138,23 @@ def _depth(spec: Spectrogram) -> float:
 
 
 def _roughness(clip: AudioClip, loudness: np.ndarray) -> float:
-    edges = bark_band_edges(clip.sample_rate)
-    envelopes = band_envelopes(clip, edges)
+    envelopes = band_envelopes(clip, bark_band_edges(clip.sample_rate))
 
-    # RMS of each envelope's 30-150 Hz band-pass by Parseval over its kept bins k:
-    # weight 2 (k and its mirror), 1 at DC and an even n's Nyquist (2k = 0 mod n).
-    n = envelopes.shape[1]
-    freqs = np.fft.rfftfreq(n, 1.0 / clip.sample_rate)
+    # RMS of each envelope's 30-150 Hz band-pass by Parseval over its kept bins k,
+    # 1/T Hz apart at any envelope length m: weight 2 (k and its mirror), 1 at DC
+    # and an even m's Nyquist (2k = 0 mod m).  Envelopes of one length share an rfft.
+    freqs = np.fft.rfftfreq(clip.samples.size, 1.0 / clip.sample_rate)
     lo, hi = ROUGHNESS_MOD_BAND_HZ
     first, stop = np.searchsorted(freqs, lo), np.searchsorted(freqs, hi, side="right")
-    kept = np.fft.rfft(envelopes, axis=1)[:, first:stop]
-    weights = np.where(2 * np.arange(first, stop) % n == 0, 1.0, 2.0)
-
-    mod_rms = np.sqrt((kept.real ** 2 + kept.imag ** 2) @ weights) / n
-    mod_index = mod_rms / (envelopes.mean(axis=1) + 1e-12)
+    lengths = np.array([env.size for env in envelopes])
+    mod_index = np.empty(lengths.size)
+    for m in np.unique(lengths):
+        rows = np.flatnonzero(lengths == m)
+        group = np.array([envelopes[i] for i in rows])
+        kept = np.fft.rfft(group, axis=1)[:, first:stop]
+        weights = np.where(2 * np.arange(first, stop) % m == 0, 1.0, 2.0)
+        mod_rms = np.sqrt((kept.real ** 2 + kept.imag ** 2) @ weights) / m
+        mod_index[rows] = mod_rms / (group.mean(axis=1) + 1e-12)
     return float((loudness * mod_index).sum() / loudness.sum())
 
 

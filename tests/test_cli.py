@@ -188,7 +188,7 @@ class TestModelFileErrors:
         path = model_copy / "config.json"
         path.write_text(path.read_text().replace('"spectral"', '"mystery"'))
         err = self.score_error(tiny_dataset, model_copy, tmp_path, capsys)
-        assert f"{model_copy}: unknown provider 'mystery'" in err
+        assert f"{path}: unknown provider 'mystery'" in err
 
     def test_missing_normalization_key(self, model_copy):
         path = model_copy / "normalization.json"
@@ -391,6 +391,14 @@ BAD_MODEL_VALUES = {
                       "invalid literal for int() with base 10: 'abc'"),
     "config_distance": ("config.json", lambda p: edit_json(p, "distance", "manhattan"),
                         "unknown distance kind 'manhattan'"),
+    "config_provider_list": ("config.json", lambda p: edit_json(p, "provider", ["x"]),
+                             "unknown provider ['x']"),
+    "config_k_zero": ("config.json", lambda p: edit_json(p, "k", 0),
+                      "k must be at least 1, got 0"),
+    "config_t_high": ("config.json", lambda p: edit_json(p, "t", 0.7),
+                      "threshold t must lie in [0, 0.5), got 0.7"),
+    "config_t_negative": ("config.json", lambda p: edit_json(p, "t", -0.1),
+                          "threshold t must lie in [0, 0.5), got -0.1"),
     "config_not_json": ("config.json", lambda p: p.write_text(p.read_text().replace('"k"', "k")),
                         "Expecting property name enclosed in double quotes"),
     "tdce_nan": ("embeddings.tdce", lambda p: nan_row(p, 3), "embedding row 3 (clip "),
@@ -419,6 +427,19 @@ def test_bad_value_names_its_file(tiny_dataset, model_copy, tmp_path, capsys, ca
     if name == "embeddings.tdce" or name is None:
         clip = (path.parent / (path.name + ".ids.csv")).read_text().splitlines()[4]
         assert f"(clip {clip.split(',', 1)[1]!r}) is not finite" in err
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--k", "0", "k must satisfy 1 <= k <= 18, got 0"),
+    ("--k", "19", "k must satisfy 1 <= k <= 18, got 19"),
+    ("--t", "0.5", "threshold t must lie in [0, 0.5), got 0.5"),
+])
+def test_bad_override_fails_before_analysis(tiny_dataset, fitted, tmp_path, capsys,
+                                            option, value, message):
+    # The audio root holds no clips: analysing one would fail differently.
+    assert run("score", "--model", fitted, "--manifest", tiny_dataset / "manifest.csv",
+               "--audio-root", tmp_path, "--out", tmp_path / "r.csv", option, value) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestGenGtAndEval:

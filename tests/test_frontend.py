@@ -345,7 +345,7 @@ class TestBandEnvelopes:
     def test_tone_envelope_flat(self):
         clip = make_tone(1000, amplitude=0.6)
         env = band_envelopes(clip, [(900.0, 1100.0)])[0]
-        trim = int(0.010 * clip.sample_rate)
+        trim = int(0.010 * env.size / clip.duration)      # 10 ms of envelope
         core = env[trim:-trim]
         assert np.abs(core - 0.6).max() / 0.6 < 0.02
 
@@ -357,7 +357,7 @@ class TestBandEnvelopes:
     def test_am_envelope_oscillates(self):
         clip = make_tone(1000, amplitude=0.4, am_freq=70, am_depth=1.0)
         env = band_envelopes(clip, [(900.0, 1100.0)])[0]
-        trim = int(0.010 * clip.sample_rate)
+        trim = int(0.010 * env.size / clip.duration)
         core = env[trim:-trim]
         assert core.max() / max(core.min(), 1e-12) > 10
 
@@ -371,9 +371,10 @@ class TestBandEnvelopes:
             band_envelopes(make_tone(1000), [(7000.0, 9000.0)])
 
 
-def _reference_band_envelopes(clip: AudioClip, band_edges) -> np.ndarray:
-    """Oracle: the former band_envelopes, with a full complex FFT of the
-    clip and a boolean mask over every positive-frequency bin per band."""
+def _reference_analytic_spectra(clip: AudioClip, band_edges) -> np.ndarray:
+    """Oracle: the DFT of each band's analytic signal, [bands x n], from a
+    full complex FFT of the clip and a boolean mask over every
+    positive-frequency bin per band."""
     n = clip.samples.size
     nyquist = clip.sample_rate / 2.0
     for lo, hi in band_edges:
@@ -397,9 +398,36 @@ def _reference_band_envelopes(clip: AudioClip, band_edges) -> np.ndarray:
         if has_nyquist_bin:
             scale[bins == n // 2] = 1.0
         masked[row, bins] = spectrum[bins] * scale
+    return masked
 
-    envelopes = np.abs(np.fft.ifft(masked, axis=1))
-    return envelopes
+
+def _reference_band_envelopes(clip: AudioClip, band_edges) -> np.ndarray:
+    """Oracle: the former band_envelopes, every band's full-length
+    envelope, [bands x n]."""
+    return np.abs(np.fft.ifft(_reference_analytic_spectra(clip, band_edges), axis=1))
+
+
+def _reference_envelope_at(analytic_spectrum, m):
+    """Oracle: (j, |a(j * n / m)|) for the analytic signal a whose n-point DFT
+    is given.  Every (n/m)-th sample of the full-length envelope when m
+    divides n; otherwise the inverse DFT summed directly at the fractional
+    times of 129 spread j, its phases k * j / m reduced exactly in integers."""
+    n = analytic_spectrum.size
+    if n % m == 0:
+        return np.arange(m), np.abs(np.fft.ifft(analytic_spectrum))[::n // m]
+    j = np.unique(np.linspace(0, m - 1, 129).astype(np.int64))
+    k = np.flatnonzero(analytic_spectrum)
+    phase = np.outer(j, k) % m / m
+    return j, np.abs(np.exp(2j * np.pi * phase) @ analytic_spectrum[k]) / n
+
+
+def _expected_envelope_length(clip: AudioClip, width: int) -> int:
+    """The length rule: the next power of two at or above max(8 * width,
+    2 * (k_hi + 1), 512), capped at n; k_hi is the rfft bin of 150 Hz."""
+    n = clip.samples.size
+    k_hi = min(math.floor(150.0 * n / clip.sample_rate), n // 2)
+    need = max(8 * width, 2 * (k_hi + 1), 512)
+    return min(n, 2 ** math.ceil(math.log2(need)))
 
 
 def oracle_clip(source, rate, n_samples):
@@ -425,19 +453,25 @@ ORACLE_CLIPS = (
        ("noise", 200, 200), ("noise", 200, 201)])
 
 
-def assert_envelopes_match_reference(clip):
-    """band_envelopes over the clip's Bark bands equals the oracle to 1e-12
-    of the oracle's largest envelope value, or both find an empty band."""
-    edges = bark_band_edges(clip.sample_rate)
+def assert_envelopes_match_reference(clip, edges=None):
+    """Each band's envelope has the length rule's m samples, and sample j
+    equals the oracle's envelope at time j * n / m to 1e-12 of the oracle's
+    largest envelope value; or both find an empty band.  The clip's Bark
+    bands unless edges are given."""
+    edges = bark_band_edges(clip.sample_rate) if edges is None else edges
     try:
-        ref = _reference_band_envelopes(clip, edges)
+        spectra = _reference_analytic_spectra(clip, edges)
     except EmptyBandError:
         with pytest.raises(EmptyBandError):
             band_envelopes(clip, edges)
         return
+    scale = np.abs(np.fft.ifft(spectra, axis=1)).max()
     out = band_envelopes(clip, edges)
-    assert out.shape == ref.shape
-    assert np.abs(out - ref).max() <= 1e-12 * ref.max()
+    assert len(out) == len(edges)
+    for env, spectrum in zip(out, spectra):
+        assert env.shape == (_expected_envelope_length(clip, np.count_nonzero(spectrum)),)
+        j, ref = _reference_envelope_at(spectrum, env.size)
+        assert np.abs(env[j] - ref).max() <= 1e-12 * scale
 
 
 class TestBandEnvelopesMatchReference:
@@ -452,10 +486,14 @@ class TestBandEnvelopesMatchReference:
         [(0.5, 1.5)],                          # the first bin above DC alone
     ])
     def test_band_edges_on_bins(self, edges):
-        clip = _uniform_clip(16000, 16000, seed=5)
-        out = band_envelopes(clip, edges)
-        ref = _reference_band_envelopes(clip, edges)
-        assert np.abs(out - ref).max() <= 1e-12 * ref.max()
+        assert_envelopes_match_reference(_uniform_clip(16000, 16000, seed=5), edges)
+
+    def test_long_clip_keeps_modulation_bins(self):
+        # 10 s at 15,450 Hz: the 7700-7725 Hz Nyquist band has 251 bins, so
+        # 8 * width asks for 2048 samples, but 150 Hz is bin 1500.
+        clip = _uniform_clip(15450, 154500, seed=9)
+        assert band_envelopes(clip, [(7700.0, 7725.0)])[0].size == 4096
+        assert_envelopes_match_reference(clip)
 
     @pytest.mark.parametrize("n_samples,edges", [
         (15999, [(7999.6, 8000.0)]),           # odd n: no bin at Nyquist

@@ -138,8 +138,14 @@ def _reference_roughness(clip: AudioClip, loudness: np.ndarray) -> float:
     return float((loudness * mod_index).sum() / loudness.sum())
 
 
+# Decimated envelopes move roughness by the aliasing of each envelope's
+# magnitude.  The worst case measured over test_property and ORACLE_CLIPS
+# is 1.1e-4; bands whose envelope keeps all n samples stay exact.
+ROUGHNESS_RTOL = 5e-4
+
+
 def assert_roughness_matches_reference(clip):
-    """_roughness equals the oracle to 1e-12 relative, or both find an
+    """_roughness equals the oracle to ROUGHNESS_RTOL, or both find an
     empty band.  Loudness weights are arbitrary positive values."""
     loudness = np.linspace(1.0, 2.0, len(bark_band_edges(clip.sample_rate)))
     try:
@@ -148,7 +154,7 @@ def assert_roughness_matches_reference(clip):
         with pytest.raises(EmptyBandError):
             _roughness(clip, loudness)
         return
-    assert _roughness(clip, loudness) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert _roughness(clip, loudness) == pytest.approx(ref, rel=ROUGHNESS_RTOL, abs=0.0)
 
 
 class TestRoughnessMatchesReference:
@@ -161,6 +167,11 @@ class TestRoughnessMatchesReference:
         # At 200 Hz, Nyquist (100 Hz) lies inside the 30-150 Hz modulation
         # band; with even n its bin has no mirror and counts once.
         assert_roughness_matches_reference(_uniform_clip(200, n_samples, seed=n_samples))
+
+    def test_long_clip_at_odd_rate(self):
+        # 10 s at 15,450 Hz: 8 * width alone would give the 251-bin Nyquist
+        # band a 2048-sample envelope, whose rfft stops below 150 Hz (bin 1500).
+        assert_roughness_matches_reference(_uniform_clip(15450, 154500, seed=9))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(rate=st.integers(100, 48000), seconds=st.floats(0.25, 1.0))
