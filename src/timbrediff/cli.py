@@ -47,7 +47,7 @@ from .embeddings import (
 )
 from .evaluation import CoverageError, build_report, write_report_json
 from .frontend import CANONICAL_RATE, WavError, load_wav, resample
-from .store import ModelDirectoryError, atomic_write, load_model, save_model
+from .store import ModelDirectoryError, load_model, save_model
 from .synth import default_benchmark_specs, generate_dataset
 from .timbre import N_ATTRIBUTES, TimbreVector, compute_timbre_vector
 
@@ -183,7 +183,7 @@ def cmd_score(args) -> int:
     results = score_clips(ref, query_embeddings, query_timbres, k=k, t=t,
                           baseline=args.baseline)
 
-    atomic_write(args.out, lambda p: write_results_csv(p, results))
+    write_results_csv(args.out, results)
     _log(f"score: {len(results)} test clips, k={k}, t={t}, "
          f"baseline={args.baseline or 'knn'}, results at {args.out}")
     return 0
@@ -198,7 +198,7 @@ def cmd_gen_gt(args) -> int:
     needed = [e for e in entries if e.split == "train" or e.state == "anomalous"]
     timbre_vectors = dict(_analyse(args, needed)[1])
     records = generate_ground_truth(entries, timbre_vectors, t_prime=args.t_prime)
-    atomic_write(args.out, lambda p: write_ground_truth_csv(p, records))
+    write_ground_truth_csv(args.out, records)
     stats = ground_truth_statistics(records)
     _log(f"gen-gt: t_prime: {args.t_prime:g}, {stats['groups']} groups, "
          f"ground truth at {args.out}")
@@ -211,7 +211,7 @@ def cmd_eval(args) -> int:
     records = read_ground_truth_csv(args.gt)
     entries = load_manifest(args.manifest)
     report = build_report(results, entries, records)
-    atomic_write(args.out, lambda p: write_report_json(p, report))
+    write_report_json(args.out, report)
     _log(f"eval: detection_auc={report.detection_auc:.4f}, "
          f"mean_mae={report.mean_mae:.4f}, report at {args.out}")
     return 0

@@ -1,7 +1,43 @@
-"""The one CSV reader behind every table the package reads back."""
+"""The one reader and the one write path behind every file the package keeps."""
 
 import csv
 import io
+import json
+import os
+from contextlib import contextmanager
+
+
+@contextmanager
+def replacing(path, mode="w"):
+    """Stream a write into `<path>.tmp`, then rename it over `path`.
+
+    Text modes write UTF-8 with no newline translation.  If the block
+    raises, the temp file is removed and an existing `path` stays whole.
+    """
+    tmp = f"{path}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    fh = open(tmp, mode, **text)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a CSV: the header, then each row of the iterable as it comes."""
+    with replacing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    with replacing(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_rows(path, header, parse, error=ValueError, unique=False) -> list:

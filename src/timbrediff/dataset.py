@@ -6,12 +6,11 @@ training clips of the same condition: the AUC of that comparison is
 thresholded into a {-1, 0, +1} label per attribute.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvrows import read_rows
+from .csvrows import read_rows, write_rows
 from .detector import auc, threshold_label
 from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES
 
@@ -90,12 +89,9 @@ def load_manifest(path) -> list:
 
 
 def write_manifest_csv(path, entries) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_CSV_HEADER)
-        for e in entries:
-            writer.writerow([e.clip_id, e.path, e.split, e.state,
-                             e.condition_id, e.cause_id, e.domain])
+    write_rows(path, MANIFEST_CSV_HEADER, ([e.clip_id, e.path, e.split, e.state,
+                                           e.condition_id, e.cause_id, e.domain]
+                                          for e in entries))
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +182,10 @@ def ground_truth_statistics(records) -> dict:
 # ---------------------------------------------------------------------------
 
 def write_ground_truth_csv(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GROUND_TRUTH_CSV_HEADER)
-        for rec in records:
-            for col, name in enumerate(ATTRIBUTE_NAMES):
-                writer.writerow([rec.condition_id, rec.cause_id, name,
-                                 f"{rec.scores[col]:.9g}", str(int(rec.labels[col]))])
+    write_rows(path, GROUND_TRUTH_CSV_HEADER, (
+        [rec.condition_id, rec.cause_id, name,
+         f"{rec.scores[col]:.9g}", str(int(rec.labels[col]))]
+        for rec in records for col, name in enumerate(ATTRIBUTE_NAMES)))
 
 
 def read_ground_truth_csv(path) -> list:

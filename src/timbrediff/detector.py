@@ -7,12 +7,11 @@ ranks each timbre metric against the neighbors' values to decide whether
 the attribute increased (+1), decreased (-1) or stayed unchanged (0).
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvrows import read_rows
+from .csvrows import read_rows, write_rows
 from .embeddings import DistanceKind, Embedding, NormalizationStats, distances_to
 from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES
 
@@ -279,15 +278,11 @@ def global_baseline_score(ref: ReferenceSet, query_values, t: float = DEFAULT_T)
 # ---------------------------------------------------------------------------
 
 def write_results_csv(path, results) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_CSV_HEADER)
-        for res in results:
-            writer.writerow(
-                [res.clip_id, f"{res.anomaly_score:.9g}"]
-                + [f"{s:.9g}" for s in res.attribute_scores]
-                + [str(int(l)) for l in res.attribute_labels]
-            )
+    write_rows(path, RESULTS_CSV_HEADER, (
+        [res.clip_id, f"{res.anomaly_score:.9g}"]
+        + [f"{s:.9g}" for s in res.attribute_scores]
+        + [str(int(l)) for l in res.attribute_labels]
+        for res in results))
 
 
 def read_results_csv(path) -> list:

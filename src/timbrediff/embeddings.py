@@ -5,14 +5,13 @@ statistics vector, and externally computed embeddings imported from a TDCE
 file.  Embeddings are z-scored with statistics fit on training data only.
 """
 
-import csv
 import struct
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .csvrows import read_rows
+from .csvrows import read_rows, replacing, write_rows
 from .frontend import AudioClip, stft_power
 from .timbre import SILENCE_POWER_FLOOR, SilentClipError
 
@@ -172,16 +171,13 @@ def write_embeddings(path, embeddings) -> None:
     dim = embeddings[0].vector.size if embeddings else 0
     if any(e.vector.size != dim for e in embeddings):
         raise ValueError("embeddings must all share one dimension")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:  # a failed sidecar keeps the old payload
         fh.write(_TDCE_HEADER.pack(TDCE_MAGIC, TDCE_VERSION, dim, len(embeddings)))
         if embeddings:
             data = np.vstack([e.vector for e in embeddings]).astype("<f4")
             fh.write(data.tobytes(order="C"))
-    with open(_ids_path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "clip_id"])
-        for row, emb in enumerate(embeddings):
-            writer.writerow([row, emb.clip_id])
+        write_rows(_ids_path(path), ["row", "clip_id"],
+                   ([row, emb.clip_id] for row, emb in enumerate(embeddings)))
 
 
 def read_tdce(path):

@@ -6,11 +6,11 @@ label, then averaged over the label values actually present.  This keeps
 rare label values from being drowned out by frequent ones.
 """
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .csvrows import write_json
 from .dataset import assign_labels, auc
 from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES
 
@@ -28,15 +28,6 @@ class EvalReport:
     mean_mae: float
     counts: dict              # attribute name -> {label value as str: count}
     n_clips: int
-
-    def to_dict(self) -> dict:
-        return {
-            "detection_auc": self.detection_auc,
-            "mae": dict(self.mae),
-            "mean_mae": self.mean_mae,
-            "counts": {k: dict(v) for k, v in self.counts.items()},
-            "n_clips": self.n_clips,
-        }
 
 
 def truth_label_counts(truths) -> np.ndarray:
@@ -116,6 +107,4 @@ def build_report(results, entries, records) -> EvalReport:
 
 
 def write_report_json(path, report: EvalReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, asdict(report))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvrows import replacing
+
 # Canonical processing rate used by the pipeline; clips are resampled to
 # this on ingest so the filterbank layout is fixed.
 CANONICAL_RATE = 16000
@@ -185,7 +187,7 @@ def save_wav(path, clip: AudioClip, sample_format: str = "pcm16") -> None:
         b"data",
         struct.pack("<I", len(payload)),
     ])
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 

@@ -2,15 +2,16 @@
 
 A model directory holds config.json, embeddings.tdce (+ id sidecar),
 timbre.csv and normalization.json.  Loading rebuilds the exact reference
-set the scorer should query; all writes go through temp-then-rename.
+set the scorer should query; every write goes through csvrows.replacing.
 """
 
 import json
-import os
 from datetime import datetime, timezone
+from itertools import zip_longest
 from pathlib import Path
 
 from . import __version__
+from .csvrows import write_json
 from .detector import ReferenceSet, check_t
 from .embeddings import (
     EXTERNAL_PROVIDER,
@@ -36,17 +37,6 @@ class ModelDirectoryError(ValueError):
     """Model directory is missing files or internally inconsistent."""
 
 
-def atomic_write(path, write_fn) -> None:
-    """Run write_fn against a temp path, then rename over the target."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
-    sidecar = tmp.with_name(tmp.name + ".ids.csv")
-    if sidecar.exists():                 # TDCE writer emits a sidecar
-        os.replace(sidecar, str(path) + ".ids.csv")
-
-
 def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
                k: int, t: float) -> None:
     """Persist a fitted model; timbre_rows is an ordered (clip_id, vector) list."""
@@ -57,20 +47,11 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     if [e.clip_id for e in embeddings] != [cid for cid, _ in timbre_rows]:
         raise ModelDirectoryError("embedding and timbre clip ids must align")
 
-    atomic_write(model_dir / EMBEDDINGS_NAME,
-                 lambda p: write_embeddings(p, embeddings))
-    atomic_write(model_dir / TIMBRE_NAME,
-                 lambda p: write_timbre_csv(p, timbre_rows))
-
-    def write_norm(p):
-        with open(p, "w") as fh:
-            json.dump({"mean": normalization.mean.tolist(),
-                       "std": normalization.std.tolist()}, fh, indent=2)
-            fh.write("\n")
-
-    atomic_write(model_dir / NORMALIZATION_NAME, write_norm)
-
-    config = {
+    write_embeddings(model_dir / EMBEDDINGS_NAME, embeddings)
+    write_timbre_csv(model_dir / TIMBRE_NAME, timbre_rows)
+    write_json(model_dir / NORMALIZATION_NAME, {"mean": normalization.mean.tolist(),
+                                                "std": normalization.std.tolist()})
+    write_json(model_dir / CONFIG_NAME, {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "provider": embeddings[0].provider_id if embeddings else "",
@@ -81,14 +62,7 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
         "dim": embeddings[0].vector.size if embeddings else 0,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "tool_version": __version__,
-    }
-
-    def write_config(p):
-        with open(p, "w") as fh:
-            json.dump(config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    atomic_write(model_dir / CONFIG_NAME, write_config)
+    })
 
 
 def load_model(model_dir):
@@ -138,15 +112,10 @@ def load_model(model_dir):
     if normalization.dim != dim:
         raise ModelDirectoryError(f"{model_dir}: {NORMALIZATION_NAME} dim {normalization.dim}"
                                   f" does not match embedding dim {dim}")
-    timbre_row = {clip_id: i for i, clip_id in enumerate(timbre_ids)}
-    missing = [clip_id for clip_id in ids if clip_id not in timbre_row]
-    if missing:
-        raise ModelDirectoryError(
-            f"{model_dir}: clip {missing[0]!r} has embeddings but no timbre row")
-    if len(timbre_ids) != count:
-        raise ModelDirectoryError(f"{model_dir}: timbre rows ({len(timbre_ids)}) do not "
-                                  f"match embeddings ({count})")
-
-    timbre = timbre_values[[timbre_row[clip_id] for clip_id in ids]]
-    return ReferenceSet(vectors, timbre, tuple(ids), config["provider"],
+    if timbre_ids != ids:       # save_model writes both in the sidecar's order
+        row, found, want = next((i, a, b) for i, (a, b)
+                                in enumerate(zip_longest(timbre_ids, ids)) if a != b)
+        raise ModelDirectoryError(f"{model_dir / TIMBRE_NAME}: row {row + 2}: clip {found!r} "
+                                  f"where {EMBEDDINGS_NAME} has {want!r}")
+    return ReferenceSet(vectors, timbre_values, tuple(ids), config["provider"],
                         distance, normalization), config

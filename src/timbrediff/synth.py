@@ -7,13 +7,13 @@ the clip id, so regeneration is byte-identical.
 """
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .csvrows import write_json
 from .dataset import ManifestEntry, write_manifest_csv
 from .frontend import CANONICAL_RATE, AudioClip, save_wav
 
@@ -132,11 +132,8 @@ def clip_seed(master_seed: int, clip_id: str) -> int:
 def _colored_noise(rng: np.random.Generator, n: int, tilt_db_per_octave: float,
                    rate: int) -> np.ndarray:
     """Unit-RMS Gaussian noise with a power-law spectral tilt."""
-    white = rng.standard_normal(n)
-    if tilt_db_per_octave == 0.0:
-        spectrum = np.fft.rfft(white)
-    else:
-        spectrum = np.fft.rfft(white)
+    spectrum = np.fft.rfft(rng.standard_normal(n))
+    if tilt_db_per_octave != 0.0:
         freqs = np.fft.rfftfreq(n, 1.0 / rate)
         gains = np.zeros_like(freqs)
         positive = freqs > 0
@@ -311,8 +308,6 @@ def generate_dataset(conditions, causes, train_per_condition: int,
             "intended_directions": list(c.intended_directions),
         } for c in causes],
     }
-    with open(out_dir / "specs.json", "w") as fh:
-        json.dump(specs, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "specs.json", specs)
     return SynthDataset(entries, out_dir, int(seed), conditions, causes,
                         duration, train_per_condition, test_per_condition)

@@ -6,13 +6,12 @@ value unchanged (up to float roundoff).  Values are objective proxies for
 the perceptual attributes, not calibrated psychoacoustic units.
 """
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .csvrows import read_rows
+from .csvrows import read_rows, write_rows
 from .frontend import (
     ENVELOPE_MOD_HZ,
     AudioClip,
@@ -185,11 +184,8 @@ def compute_timbre_vector(clip: AudioClip) -> TimbreVector:
 
 def write_timbre_csv(path, rows) -> None:
     """Write (clip_id, TimbreVector) pairs; values keep 9 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMBRE_CSV_HEADER)
-        for clip_id, vec in rows:
-            writer.writerow([clip_id] + [f"{v:.9g}" for v in vec.as_array()])
+    write_rows(path, TIMBRE_CSV_HEADER, ([clip_id] + [f"{v:.9g}" for v in vec.as_array()]
+                                         for clip_id, vec in rows))
 
 
 def read_timbre_table(path):

@@ -216,6 +216,27 @@ class TestModelFileErrors:
         err = self.score_error(tiny_dataset, model_copy, tmp_path, capsys)
         assert f"{path}: row 5: malformed row" in err
 
+    @pytest.mark.parametrize("edit", ["permuted", "missing", "extra"])
+    def test_timbre_rows_follow_embeddings(self, tiny_dataset, model_copy, tmp_path,
+                                           capsys, edit):
+        path = model_copy / "timbre.csv"
+        lines = path.read_text().splitlines()
+        ids = [line.split(",", 1)[0] for line in lines[1:]]
+        if edit == "permuted":      # rows 3 and 4 swap: a reorder is not repaired
+            lines[2], lines[3] = lines[3], lines[2]
+            expected = f"row 3: clip {ids[2]!r} where embeddings.tdce has {ids[1]!r}"
+        elif edit == "missing":
+            del lines[-1]
+            expected = f"row {len(ids) + 1}: clip None where embeddings.tdce has {ids[-1]!r}"
+        else:
+            lines.append("extra," + lines[-1].split(",", 1)[1])
+            expected = f"row {len(ids) + 2}: clip 'extra' where embeddings.tdce has None"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelDirectoryError, match=re.escape(f"{path}: {expected}")):
+            load_model(model_copy)
+        assert f"{path}: {expected}" in self.score_error(
+            tiny_dataset, model_copy, tmp_path, capsys)
+
 
 class TestScoreCommand:
     def test_row_count_and_determinism(self, tiny_dataset, fitted, tmp_path):

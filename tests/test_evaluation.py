@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -156,6 +157,6 @@ class TestBuildReport:
         report = build_report(results, entries, records)
         path = tmp_path / "report.json"
         write_report_json(path, report)
-        assert json.loads(path.read_text()) == report.to_dict()
+        assert json.loads(path.read_text()) == asdict(report)
         text = path.read_text()
         assert '"detection_auc"' in text and '"mean_mae"' in text
