@@ -46,10 +46,10 @@ from .embeddings import (
     spectral_features,
 )
 from .evaluation import CoverageError, build_report, write_report_json
-from .frontend import CANONICAL_RATE, WavError, load_wav, resample
-from .store import ModelDirectoryError, load_model, save_model
+from .frontend import CANONICAL_RATE, WavError, load_wav, resample, stft_power
+from .store import CONFIG_NAME, ModelDirectoryError, load_model, save_model
 from .synth import default_benchmark_specs, generate_dataset
-from .timbre import N_ATTRIBUTES, TimbreVector, compute_timbre_vector
+from .timbre import MIN_ROUGHNESS_DURATION, N_ATTRIBUTES, TimbreVector, compute_timbre_vector
 
 # Spectral defaults to euclidean: much of an anomaly's signature in the
 # log-mel statistics space is a level-axis displacement that cosine
@@ -97,9 +97,11 @@ def _analyse(args, entries, provider=None):
         clip = load_wav(path)
         try:
             clip = resample(clip, CANONICAL_RATE)
-            timbre_rows.append((entry.clip_id, compute_timbre_vector(clip)))
+            # One STFT per clip; a clip too short for timbre fails on that first.
+            spec = stft_power(clip) if clip.duration >= MIN_ROUGHNESS_DURATION else None
+            timbre_rows.append((entry.clip_id, compute_timbre_vector(clip, spec=spec)))
             if provider == SPECTRAL_PROVIDER:
-                spectral.append(spectral_features(clip))
+                spectral.append(spectral_features(clip, spec=spec))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     raw = None                  # reshaped so that no clips still gives [0 x D]
@@ -176,6 +178,11 @@ def cmd_score(args) -> int:
 
     tests = [e for e in load_manifest(args.manifest) if e.split == "test"]
     clip_ids, timbre_rows, raw = _analyse(args, tests, provider)
+    if args.k is None:          # the model's k, checked after a bad clip is named
+        try:
+            check_k(k, ref.size)
+        except ValueError as exc:
+            raise ValueError(f"{Path(args.model) / CONFIG_NAME}: {exc}") from None
     norm = ref.normalization    # z-scored, then float32 like embeddings.tdce
     z32 = ((raw - norm.mean) / norm.std).astype("<f4").astype(np.float64)
     query_embeddings = [Embedding(z, provider, cid) for cid, z in zip(clip_ids, z32)]

@@ -5,6 +5,7 @@ statistics vector, and externally computed embeddings imported from a TDCE
 file.  Embeddings are z-scored with statistics fit on training data only.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -12,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .csvrows import read_rows, replacing, write_rows
-from .frontend import AudioClip, stft_power
+from .frontend import AudioClip, Spectrogram, stft_bin_freqs, stft_power
 from .timbre import SILENCE_POWER_FLOOR, SilentClipError
 
 TIMBRE_PROVIDER = "timbre"
@@ -96,31 +97,33 @@ def fit_normalization(vectors) -> NormalizationStats:
                               np.maximum(data.std(axis=0), STD_FLOOR))
 
 
-def mel_filterbank(bin_freqs: np.ndarray, n_bands: int = MEL_BANDS,
-                   fmax: float = MEL_FMAX_HZ) -> np.ndarray:
-    """Triangular unit-peak mel filters over the given bin grid, [bands x bins]."""
+@functools.lru_cache(maxsize=4)
+def mel_filterbank(sample_rate: int, frame_len: int) -> np.ndarray:
+    """Triangular unit-peak mel filters over stft_power's bins, [bands x bins], read-only."""
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
     def from_mel(m):
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-    points = from_mel(np.linspace(to_mel(0.0), to_mel(fmax), n_bands + 2))
-    bank = np.zeros((n_bands, bin_freqs.size))
-    for band in range(n_bands):
+    bin_freqs = stft_bin_freqs(sample_rate, frame_len)
+    points = from_mel(np.linspace(to_mel(0.0), to_mel(MEL_FMAX_HZ), MEL_BANDS + 2))
+    bank = np.zeros((MEL_BANDS, bin_freqs.size))
+    for band in range(MEL_BANDS):
         lo, center, hi = points[band], points[band + 1], points[band + 2]
         rising = (bin_freqs - lo) / (center - lo)
         falling = (hi - bin_freqs) / (hi - center)
         bank[band] = np.clip(np.minimum(rising, falling), 0.0, None)
+    bank.flags.writeable = False
     return bank
 
 
-def spectral_features(clip: AudioClip) -> np.ndarray:
-    """Raw 80-dim log-mel statistics: 40 band means then 40 band stds."""
-    spec = stft_power(clip)
+def spectral_features(clip: AudioClip, spec: Spectrogram = None) -> np.ndarray:
+    """Raw 80-dim log-mel statistics, 40 band means then 40 stds; spec is stft_power(clip)."""
+    spec = stft_power(clip) if spec is None else spec
     if spec.power.sum() <= SILENCE_POWER_FLOOR:
         raise SilentClipError("silent input: total framed power below threshold")
-    bank = mel_filterbank(spec.bin_freqs)
+    bank = mel_filterbank(clip.sample_rate, 2 * (spec.bin_freqs.size - 1))
     log_mel = np.log(np.maximum(spec.power @ bank.T, LOG_FLOOR))
     return np.concatenate([log_mel.mean(axis=0), log_mel.std(axis=0)])
 

@@ -6,6 +6,7 @@ summaries and per-band analytic envelopes.  All functions are pure and
 deterministic; identical inputs give bit-identical outputs.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -273,8 +274,13 @@ def stft_power(clip: AudioClip, frame_len: int = DEFAULT_FRAME_LEN,
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, frame_len)[::hop]
     spectrum = np.fft.rfft(frames * window, axis=1)
     power = spectrum.real ** 2 + spectrum.imag ** 2
-    bin_freqs = np.arange(frame_len // 2 + 1) * (clip.sample_rate / frame_len)
-    return Spectrogram(power, bin_freqs, clip.sample_rate / hop)
+    return Spectrogram(power, stft_bin_freqs(clip.sample_rate, frame_len),
+                       clip.sample_rate / hop)
+
+
+def stft_bin_freqs(sample_rate: int, frame_len: int) -> np.ndarray:
+    """stft_power's bin_freqs: i * sample_rate / frame_len, i = 0 .. frame_len / 2."""
+    return np.arange(frame_len // 2 + 1) * (sample_rate / frame_len)
 
 
 def bark_band_edges(sample_rate: int) -> list:
@@ -309,6 +315,27 @@ def bark_band_powers(spec: Spectrogram) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _envelope_layout(sample_rate: int, n: int, band_edges: tuple) -> tuple:
+    """band_envelopes' (first, stop, m) per band, for n samples at sample_rate."""
+    nyquist = sample_rate / 2.0
+    for lo, hi in band_edges:
+        if not 0 < lo < hi or hi > nyquist:
+            raise ValueError(f"band ({lo}, {hi}) must lie within (0, {nyquist}]")
+    freqs = np.arange(n // 2 + 1) * (sample_rate / n)
+    k_hi = np.searchsorted(freqs, ENVELOPE_MOD_HZ, side="right") - 1
+    bands = []
+    for lo, hi in band_edges:
+        # A band reaching Nyquist also takes a bin at exactly Nyquist.
+        first = np.searchsorted(freqs, lo, side="left")
+        stop = np.searchsorted(freqs, hi, side="right" if hi >= nyquist else "left")
+        if stop <= first:
+            raise EmptyBandError(f"band {lo}-{hi} Hz contains no spectral bins")
+        m = 1 << int(max(8 * (stop - first), 2 * (k_hi + 1), 512) - 1).bit_length()
+        bands.append((first, stop, min(m, n)))
+    return tuple(bands)
+
+
 def band_envelopes(clip: AudioClip, band_edges) -> list:
     """Analytic-signal magnitude envelopes of FFT-isolated bands: one 1-D
     array per band, each of its own length m.
@@ -331,27 +358,10 @@ def band_envelopes(clip: AudioClip, band_edges) -> list:
     that share an m go through one inverse FFT.
     """
     n = clip.samples.size
-    nyquist = clip.sample_rate / 2.0
-    for lo, hi in band_edges:
-        if not 0 < lo < hi or hi > nyquist:
-            raise ValueError(f"band ({lo}, {hi}) must lie within (0, {nyquist}]")
-
-    spectrum = np.fft.rfft(clip.samples)
-    freqs = np.arange(spectrum.size) * (clip.sample_rate / n)
-    doubled = 2 * spectrum
+    bands = _envelope_layout(clip.sample_rate, n, tuple(map(tuple, band_edges)))
+    doubled = 2 * np.fft.rfft(clip.samples)
     if n % 2 == 0:
         doubled[n // 2] /= 2                       # the even-n Nyquist bin
-    k_hi = np.searchsorted(freqs, ENVELOPE_MOD_HZ, side="right") - 1
-
-    bands = []                                     # (first, stop, m) per band
-    for lo, hi in band_edges:
-        # A band reaching Nyquist also takes a bin at exactly Nyquist.
-        first = np.searchsorted(freqs, lo, side="left")
-        stop = np.searchsorted(freqs, hi, side="right" if hi >= nyquist else "left")
-        if stop <= first:
-            raise EmptyBandError(f"band {lo}-{hi} Hz contains no spectral bins")
-        m = 1 << int(max(8 * (stop - first), 2 * (k_hi + 1), 512) - 1).bit_length()
-        bands.append((first, stop, min(m, n)))
 
     envelopes = [None] * len(bands)
     for m in {m for _, _, m in bands}:
@@ -364,3 +374,4 @@ def band_envelopes(clip: AudioClip, band_edges) -> list:
         for i, env in zip(rows, np.abs(np.fft.ifft(shifted, axis=1)) * (m / n)):
             envelopes[i] = env
     return envelopes
+

@@ -6,6 +6,7 @@ value unchanged (up to float roundoff).  Values are objective proxies for
 the perceptual attributes, not calibrated psychoacoustic units.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -136,34 +137,42 @@ def _depth(spec: Spectrogram) -> float:
     return min(1.0, float(spec.power[:, low].sum() / spec.power.sum()))
 
 
+@functools.lru_cache(maxsize=64)
+def _modulation_bins(sample_rate: int, n: int, m: int):
+    """Roughness's 30-150 Hz bins of n-sample envelopes and their weights at length m."""
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    lo, hi = ROUGHNESS_MOD_BAND_HZ
+    first, stop = np.searchsorted(freqs, lo), np.searchsorted(freqs, hi, side="right")
+    weights = np.where(2 * np.arange(first, stop) % m == 0, 1.0, 2.0)
+    weights.flags.writeable = False
+    return slice(first, stop), weights
+
+
 def _roughness(clip: AudioClip, loudness: np.ndarray) -> float:
     envelopes = band_envelopes(clip, bark_band_edges(clip.sample_rate))
 
     # RMS of each envelope's 30-150 Hz band-pass by Parseval over its kept bins k,
     # 1/T Hz apart at any envelope length m: weight 2 (k and its mirror), 1 at DC
     # and an even m's Nyquist (2k = 0 mod m).  Envelopes of one length share an rfft.
-    freqs = np.fft.rfftfreq(clip.samples.size, 1.0 / clip.sample_rate)
-    lo, hi = ROUGHNESS_MOD_BAND_HZ
-    first, stop = np.searchsorted(freqs, lo), np.searchsorted(freqs, hi, side="right")
     lengths = np.array([env.size for env in envelopes])
     mod_index = np.empty(lengths.size)
     for m in np.unique(lengths):
         rows = np.flatnonzero(lengths == m)
         group = np.array([envelopes[i] for i in rows])
-        kept = np.fft.rfft(group, axis=1)[:, first:stop]
-        weights = np.where(2 * np.arange(first, stop) % m == 0, 1.0, 2.0)
+        kept_bins, weights = _modulation_bins(clip.sample_rate, clip.samples.size, int(m))
+        kept = np.fft.rfft(group, axis=1)[:, kept_bins]
         mod_rms = np.sqrt((kept.real ** 2 + kept.imag ** 2) @ weights) / m
         mod_index[rows] = mod_rms / (group.mean(axis=1) + 1e-12)
     return float((loudness * mod_index).sum() / loudness.sum())
 
 
-def compute_timbre_vector(clip: AudioClip) -> TimbreVector:
-    """All five metrics from one pass over the clip."""
+def compute_timbre_vector(clip: AudioClip, spec: Spectrogram = None) -> TimbreVector:
+    """All five metrics from one pass over the clip; spec is stft_power(clip)."""
     if clip.duration < MIN_ROUGHNESS_DURATION:
         raise ClipTooShortError(
             f"timbre extraction needs at least {MIN_ROUGHNESS_DURATION} s of audio"
         )
-    spec = stft_power(clip)
+    spec = stft_power(clip) if spec is None else spec
     if spec.power.sum() <= SILENCE_POWER_FLOOR:
         raise SilentClipError("silent input: total framed power below threshold")
     loudness = _specific_loudness(spec)

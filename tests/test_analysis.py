@@ -1,0 +1,100 @@
+"""The CLI's shared analysis path against standalone per-clip calls.
+
+cli._analyse computes one STFT per clip and hands it to both
+compute_timbre_vector and spectral_features; the grid constants behind
+them (mel filterbank, envelope layout, modulation bins) are built once per
+grid and cached.  Every value must equal, bit for bit, what fresh
+standalone calls give, whatever order clips of different rates and lengths
+arrive in.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from timbrediff import frontend, timbre
+from timbrediff.cli import _analyse
+from timbrediff.dataset import ManifestEntry
+from timbrediff.embeddings import mel_filterbank, spectral_features
+from timbrediff.frontend import (
+    CANONICAL_RATE,
+    AudioClip,
+    load_wav,
+    resample,
+    save_wav,
+)
+from timbrediff.synth import default_benchmark_specs, generate_clip
+from timbrediff.timbre import compute_timbre_vector
+
+
+def clear_grid_caches():
+    for cached in (mel_filterbank, frontend._envelope_layout, timbre._modulation_bins):
+        cached.cache_clear()
+
+
+def analysis_clips():
+    """(name, clip): a synth clip per cause, clips at other rates and odd
+    lengths, with rates and lengths interleaved."""
+    conditions, causes = default_benchmark_specs()
+    synth = [generate_clip(conditions[i % len(conditions)], cause, 1.0, 40 + i)
+             for i, cause in enumerate((None, *causes))]
+    clips = []
+    for i, clip in enumerate(synth):
+        clips.append((f"synth{i}", clip))
+        # The same samples read at another rate, some cut to an odd length.
+        rate = (8000, 22050, 44100)[i % 3]
+        samples = clip.samples[:15001] if i % 2 else clip.samples
+        clips.append((f"rate{rate}_{i}", AudioClip(samples, rate)))
+    clips.append(("odd16k", AudioClip(synth[1].samples[:12345], CANONICAL_RATE)))
+    return clips
+
+
+@pytest.fixture(scope="module")
+def clip_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("analysis")
+    entries = []
+    for name, clip in analysis_clips():
+        save_wav(root / f"{name}.wav", clip, "float32")
+        entries.append(ManifestEntry(name, f"{name}.wav", "train", "normal", "c"))
+    return root, entries
+
+
+def fresh(fn, clip):
+    """fn(clip) with every grid cache empty, so no entry can be stale."""
+    clear_grid_caches()
+    return fn(clip)
+
+
+@pytest.mark.parametrize("provider", [None, "timbre", "spectral"],
+                         ids=["gen-gt", "timbre", "spectral"])
+def test_shared_path_equals_standalone_calls(clip_dir, provider):
+    root, entries = clip_dir
+    clear_grid_caches()
+    args = SimpleNamespace(audio_root=str(root), embeddings=None)
+    clip_ids, timbre_rows, raw = _analyse(args, entries, provider)
+    assert clip_ids == [e.clip_id for e in entries]
+
+    clips = [resample(load_wav(root / e.path), CANONICAL_RATE) for e in entries]
+    assert len({c.samples.size for c in clips}) > 3     # lengths really vary
+    expected = [fresh(compute_timbre_vector, c).as_array() for c in clips]
+    got = [vec.as_array() for _, vec in timbre_rows]
+    assert [cid for cid, _ in timbre_rows] == clip_ids
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+    if provider == "timbre":
+        assert raw.tobytes() == np.array(expected).tobytes()
+    elif provider == "spectral":
+        features = np.array([fresh(spectral_features, c) for c in clips])
+        assert raw.tobytes() == features.tobytes()
+    else:
+        assert raw is None
+
+
+def test_grid_constants_are_read_only():
+    bank = mel_filterbank(CANONICAL_RATE, 1024)
+    _, weights = timbre._modulation_bins(CANONICAL_RATE, 16000, 512)
+    for array in (bank, weights):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert mel_filterbank(CANONICAL_RATE, 1024) is bank
+

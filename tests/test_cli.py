@@ -2,10 +2,12 @@ import json
 import re
 import shutil
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+from timbrediff import frontend
 from timbrediff.cli import main
 from timbrediff.dataset import load_manifest
 from timbrediff.detector import read_results_csv
@@ -370,20 +372,58 @@ class TestExternalProvider:
         assert "--embeddings" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("stage", ["fit", "score", "gen-gt"])
-def test_silent_clip_names_its_file(tiny_dataset, fitted, tmp_path, capsys, stage):
+def replace_one_clip(tiny_dataset, fitted, tmp_path, stage, clip):
+    """Copy the dataset with one clip that `stage` reads replaced by `clip`;
+    return the stage's argv and the clip's path."""
     root = tmp_path / "data"
     shutil.copytree(tiny_dataset, root)
     split = "test" if stage == "score" else "train"
     entry = next(e for e in load_manifest(root / "manifest.csv") if e.split == split)
-    save_wav(root / entry.path, AudioClip(np.zeros(16000), 16000))
+    save_wav(root / entry.path, clip)
     common = ["--manifest", root / "manifest.csv", "--audio-root", root]
     argv = {"fit": ["fit", *common, "--provider", "spectral", "--out", tmp_path / "m"],
             "score": ["score", "--model", fitted, *common, "--out", tmp_path / "r.csv"],
             "gen-gt": ["gen-gt", *common, "--out", tmp_path / "gt.csv"]}[stage]
+    return argv, root / entry.path
+
+
+@pytest.mark.parametrize("stage", ["fit", "score", "gen-gt"])
+def test_silent_clip_names_its_file(tiny_dataset, fitted, tmp_path, capsys, stage):
+    argv, path = replace_one_clip(tiny_dataset, fitted, tmp_path, stage,
+                                  AudioClip(np.zeros(16000), 16000))
     assert run(*argv) == 1
     assert capsys.readouterr().err == (
-        f"error: {root / entry.path}: silent input: total framed power below threshold\n")
+        f"error: {path}: silent input: total framed power below threshold\n")
+
+
+# 0.05 s is shorter than one 1024-sample STFT frame: the duration check
+# must still speak first.
+@pytest.mark.parametrize("seconds", [0.05, 0.2])
+@pytest.mark.parametrize("stage", ["fit", "score", "gen-gt"])
+def test_short_clip_names_its_file(tiny_dataset, fitted, tmp_path, capsys, stage, seconds):
+    tone = 0.5 * np.sin(2 * np.pi * 440 * np.arange(int(seconds * 16000)) / 16000)
+    argv, path = replace_one_clip(tiny_dataset, fitted, tmp_path, stage,
+                                  AudioClip(tone, 16000))
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: timbre extraction needs at least 0.25 s of audio\n")
+
+
+def test_fit_runs_one_stft_per_clip(tiny_dataset, tmp_path, monkeypatch):
+    original = frontend.stft_power
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].samples.size)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("timbrediff") and getattr(module, "stft_power", None) is original:
+            monkeypatch.setattr(module, "stft_power", counting)
+    assert run("fit", "--manifest", tiny_dataset / "manifest.csv", "--audio-root",
+               tiny_dataset, "--provider", "spectral", "--out", tmp_path / "m") == 0
+    train = [e for e in load_manifest(tiny_dataset / "manifest.csv") if e.split == "train"]
+    assert len(calls) == len(train) == 18
 
 
 def edit_json(path, key, value):
@@ -461,6 +501,14 @@ def test_bad_override_fails_before_analysis(tiny_dataset, fitted, tmp_path, caps
     assert run("score", "--model", fitted, "--manifest", tiny_dataset / "manifest.csv",
                "--audio-root", tmp_path, "--out", tmp_path / "r.csv", option, value) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_k_above_rows_names_config(tiny_dataset, fitted, capsys, tmp_path):
+    # The fixture model keeps fit's default k = 30 over 18 rows.
+    assert run("score", "--model", fitted, "--manifest", tiny_dataset / "manifest.csv",
+               "--audio-root", tiny_dataset, "--out", tmp_path / "r.csv") == 1
+    assert capsys.readouterr().err == (
+        f"error: {fitted / 'config.json'}: k must satisfy 1 <= k <= 18, got 30\n")
 
 
 class TestGenGtAndEval:

@@ -361,14 +361,17 @@ class TestBandEnvelopes:
         core = env[trim:-trim]
         assert core.max() / max(core.min(), 1e-12) > 10
 
+    # Each error must raise on every call, not only before a cached layout.
     def test_empty_band(self):
         # 1 s at 16 kHz gives 1 Hz bins; (7999.2, 7999.8) straddles none.
-        with pytest.raises(EmptyBandError):
-            band_envelopes(make_tone(1000), [(7999.2, 7999.8)])
+        for _ in range(2):
+            with pytest.raises(EmptyBandError, match="contains no spectral bins"):
+                band_envelopes(make_tone(1000), [(7999.2, 7999.8)])
 
     def test_band_outside_nyquist(self):
-        with pytest.raises(ValueError):
-            band_envelopes(make_tone(1000), [(7000.0, 9000.0)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"must lie within \(0, 8000.0\]"):
+                band_envelopes(make_tone(1000), [(7000.0, 9000.0)])
 
 
 def _reference_analytic_spectra(clip: AudioClip, band_edges) -> np.ndarray:
