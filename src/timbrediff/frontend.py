@@ -298,6 +298,22 @@ def bark_band_edges(sample_rate: int) -> list:
     return edges
 
 
+@functools.lru_cache(maxsize=64)
+def _bark_bins(bin_freqs: bytes) -> tuple:
+    """bark_band_powers' band count and the (band, first, stop) bin range of
+    each band holding bins, for the float64 bin frequencies in bin_freqs."""
+    freqs = np.frombuffer(bin_freqs)
+    n_bands = len(bark_band_edges(int(round(2 * freqs[-1]))))
+    # Sorted frequencies give each band one contiguous run of bins.
+    band_index = np.searchsorted(BARK_EDGES_HZ, freqs, side="right") - 1
+    ranges = []
+    for band in range(n_bands):
+        members = np.flatnonzero(band_index == band)
+        if members.size:
+            ranges.append((band, int(members[0]), int(members[-1]) + 1))
+    return n_bands, tuple(ranges)
+
+
 def bark_band_powers(spec: Spectrogram) -> np.ndarray:
     """Per-frame mean power in each usable Bark band, [frames x bands].
 
@@ -305,13 +321,12 @@ def bark_band_powers(spec: Spectrogram) -> np.ndarray:
     exactly Nyquist joins the band containing it.  Bins below the first
     edge (20 Hz) are excluded, which rules out DC.
     """
-    n_bands = len(bark_band_edges(int(round(2 * spec.nyquist))))
-    band_index = np.searchsorted(BARK_EDGES_HZ, spec.bin_freqs, side="right") - 1
+    n_bands, ranges = _bark_bins(spec.bin_freqs.tobytes())
     out = np.zeros((spec.power.shape[0], n_bands))
-    for band in range(n_bands):
-        members = band_index == band
-        if members.any():
-            out[:, band] = spec.power[:, members].mean(axis=1)
+    for band, first, stop in ranges:
+        # Averaged over a Fortran-ordered copy, the layout a boolean-mask
+        # gather gives: the mean of the strided slice itself rounds otherwise.
+        out[:, band] = np.asfortranarray(spec.power[:, first:stop]).mean(axis=1)
     return out
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,15 @@ def bandlimited_noise(seed, lo_hz, hi_hz, duration=1.0, rate=CANONICAL_RATE):
     spectrum[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
     x = np.fft.irfft(spectrum, n=n)
     return AudioClip(0.5 * x / np.abs(x).max(), rate)
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """usable_cpus(n) makes os.sched_getaffinity report n CPUs, the count
+    cli._analyse sizes its worker pool by."""
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return pin
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,11 @@
 
 cli._analyse computes one STFT per clip and hands it to both
 compute_timbre_vector and spectral_features; the grid constants behind
-them (mel filterbank, envelope layout, modulation bins) are built once per
-grid and cached.  Every value must equal, bit for bit, what fresh
-standalone calls give, whatever order clips of different rates and lengths
-arrive in.
+them (mel filterbank, Bark band bins, envelope layout, modulation bins) are
+built once per grid and cached.  Every value must equal, bit for bit, what
+fresh standalone calls give, whatever order clips of different rates and
+lengths arrive in, and whether _analyse runs serially or over forked
+workers.
 """
 
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from timbrediff import frontend, timbre
-from timbrediff.cli import _analyse
+from timbrediff.cli import _analyse, _workers
 from timbrediff.dataset import ManifestEntry
 from timbrediff.embeddings import mel_filterbank, spectral_features
 from timbrediff.frontend import (
@@ -29,7 +30,8 @@ from timbrediff.timbre import compute_timbre_vector
 
 
 def clear_grid_caches():
-    for cached in (mel_filterbank, frontend._envelope_layout, timbre._modulation_bins):
+    for cached in (mel_filterbank, frontend._bark_bins, frontend._envelope_layout,
+                   timbre._modulation_bins):
         cached.cache_clear()
 
 
@@ -68,26 +70,29 @@ def fresh(fn, clip):
 
 @pytest.mark.parametrize("provider", [None, "timbre", "spectral"],
                          ids=["gen-gt", "timbre", "spectral"])
-def test_shared_path_equals_standalone_calls(clip_dir, provider):
+def test_shared_path_equals_standalone_calls(clip_dir, provider, usable_cpus):
     root, entries = clip_dir
-    clear_grid_caches()
-    args = SimpleNamespace(audio_root=str(root), embeddings=None)
-    clip_ids, timbre_rows, raw = _analyse(args, entries, provider)
-    assert clip_ids == [e.clip_id for e in entries]
-
     clips = [resample(load_wav(root / e.path), CANONICAL_RATE) for e in entries]
     assert len({c.samples.size for c in clips}) > 3     # lengths really vary
     expected = [fresh(compute_timbre_vector, c).as_array() for c in clips]
-    got = [vec.as_array() for _, vec in timbre_rows]
-    assert [cid for cid, _ in timbre_rows] == clip_ids
-    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
-    if provider == "timbre":
-        assert raw.tobytes() == np.array(expected).tobytes()
-    elif provider == "spectral":
-        features = np.array([fresh(spectral_features, c) for c in clips])
-        assert raw.tobytes() == features.tobytes()
-    else:
-        assert raw is None
+    features = np.array([fresh(spectral_features, c) for c in clips])
+
+    args = SimpleNamespace(audio_root=str(root), embeddings=None)
+    for cpus in (1, 2):                 # serial, then two forked workers
+        usable_cpus(cpus)
+        assert _workers(len(entries)) == cpus
+        clear_grid_caches()
+        clip_ids, timbre_rows, raw = _analyse(args, entries, provider)
+        assert clip_ids == [e.clip_id for e in entries]
+        got = [vec.as_array() for _, vec in timbre_rows]
+        assert [cid for cid, _ in timbre_rows] == clip_ids
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+        if provider == "timbre":
+            assert raw.tobytes() == np.array(expected).tobytes()
+        elif provider == "spectral":
+            assert raw.tobytes() == features.tobytes()
+        else:
+            assert raw is None
 
 
 def test_grid_constants_are_read_only():

@@ -1,13 +1,17 @@
 import json
+import os
 import re
 import shutil
+import signal
 import struct
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from timbrediff import frontend
+from timbrediff import cli, frontend
 from timbrediff.cli import main
 from timbrediff.dataset import load_manifest
 from timbrediff.detector import read_results_csv
@@ -409,7 +413,77 @@ def test_short_clip_names_its_file(tiny_dataset, fitted, tmp_path, capsys, stage
         f"error: {path}: timbre extraction needs at least 0.25 s of audio\n")
 
 
-def test_fit_runs_one_stft_per_clip(tiny_dataset, tmp_path, monkeypatch):
+def copy_with_damaged_train_clips(tiny_dataset, tmp_path, damage):
+    """Copy the dataset and apply damage[i](path) to its i-th training clip;
+    return the copy's root and the damaged clips' paths by i."""
+    root = tmp_path / "data"
+    shutil.copytree(tiny_dataset, root)
+    train = [e for e in load_manifest(root / "manifest.csv") if e.split == "train"]
+    for i, fn in damage.items():
+        fn(root / train[i].path)
+    return root, {i: root / train[i].path for i in damage}
+
+
+def fit_error(root, tmp_path, capsys):
+    assert run("fit", "--manifest", root / "manifest.csv", "--audio-root", root,
+               "--provider", "spectral", "--out", tmp_path / "m") == 1
+    return capsys.readouterr().err
+
+
+def long_silence(path):
+    save_wav(path, AudioClip(np.zeros(10 * 44100), 44100))
+
+
+def test_first_bad_clip_in_the_manifest_is_named(tiny_dataset, tmp_path, capsys, usable_cpus):
+    # Clip 3, a missing file, fails at once.  Clip 2, 10 s of silence at
+    # 44.1 kHz, fails only after its resample and STFT.  Two workers run
+    # both at the same time, and the error must name clip 2.
+    root, paths = copy_with_damaged_train_clips(tiny_dataset, tmp_path,
+                                                {2: long_silence, 3: Path.unlink})
+    usable_cpus(2)
+    for _ in range(3):
+        assert fit_error(root, tmp_path, capsys) == (
+            f"error: {paths[2]}: silent input: total framed power below threshold\n")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (Path.unlink, "[Errno 2] No such file or directory: '{path}'"),
+    (lambda path: path.write_bytes(b"not audio"), "{path}: not a RIFF/WAVE file"),
+], ids=["missing", "malformed"])
+def test_unreadable_clip_fails_alike_through_the_pool(tiny_dataset, tmp_path, capsys,
+                                                      usable_cpus, damage, message):
+    root, paths = copy_with_damaged_train_clips(tiny_dataset, tmp_path, {16: damage})
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        assert fit_error(root, tmp_path, capsys) == f"error: {message.format(path=paths[16])}\n"
+
+
+def killed(path, provider):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_killed_worker_fails_the_stage(tiny_dataset, tmp_path, monkeypatch, usable_cpus):
+    # A worker killed from outside (the OOM killer, say) must fail the
+    # stage, not leave it waiting for that worker's results.
+    usable_cpus(2)
+    monkeypatch.setattr(cli, "_analyse_clip", killed)
+
+    def hung(signum, frame):
+        pytest.fail("fit still waited on a dead worker after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run("fit", "--manifest", tiny_dataset / "manifest.csv", "--audio-root",
+                tiny_dataset, "--provider", "spectral", "--out", tmp_path / "m")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_fit_runs_one_stft_per_clip(tiny_dataset, tmp_path, monkeypatch, usable_cpus):
+    usable_cpus(1)              # forked workers' calls would not reach `calls`
     original = frontend.stft_power
     calls = []
 

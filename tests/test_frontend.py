@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from timbrediff.frontend import (
     _RESAMPLE_HALF_TAPS,
+    BARK_EDGES_HZ,
     AudioClip,
     EmptyBandError,
     Spectrogram,
@@ -339,6 +340,31 @@ class TestBarkBands:
         covered = spec.power[:, (band_index >= 0) & (band_index < bands.shape[1])]
         np.testing.assert_allclose((bands * counts).sum(axis=1),
                                    covered.sum(axis=1), rtol=1e-9)
+
+    def test_equals_mask_reference(self):
+        # The cached bin ranges give, bit for bit, the mean over each band's
+        # boolean-mask gather, on every grid, in any order of grids.
+        def reference(spec):
+            n_bands = len(bark_band_edges(int(round(2 * spec.nyquist))))
+            band_index = np.searchsorted(BARK_EDGES_HZ, spec.bin_freqs, side="right") - 1
+            out = np.zeros((spec.power.shape[0], n_bands))
+            for band in range(n_bands):
+                members = band_index == band
+                if members.any():
+                    out[:, band] = spec.power[:, members].mean(axis=1)
+            return out
+
+        conditions, causes = default_benchmark_specs()
+        clips = [generate_clip(conditions[i % 3], cause, 1.0, 60 + i)
+                 for i, cause in enumerate((None, *causes))]
+        specs = [stft_power(clip, frame_len=frame_len, hop=frame_len // 2)
+                 for clip in clips for frame_len in (1024, 256)]
+        specs += [stft_power(make_noise(5, rate=rate)) for rate in (8000, 22050, 44100)]
+        rng = np.random.default_rng(3)            # an uneven grid as well
+        specs.append(Spectrogram(rng.random((7, 40)),
+                                 np.r_[0.0, np.cumsum(rng.random(39)) * 300], 50.0))
+        for spec in specs * 2:
+            assert bark_band_powers(spec).tobytes() == reference(spec).tobytes()
 
 
 class TestBandEnvelopes:
