@@ -85,7 +85,7 @@ class GroundTruthRecord:
 def load_manifest(path) -> list:
     """Read and validate a manifest CSV; errors name the file and row."""
     return read_rows(path, MANIFEST_CSV_HEADER, lambda _, row: ManifestEntry(*row),
-                     ManifestError, unique=True)
+                     ManifestError, unique="clip_id")
 
 
 def write_manifest_csv(path, entries) -> None:

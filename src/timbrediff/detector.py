@@ -291,4 +291,4 @@ def read_results_csv(path) -> list:
         anomaly_score=float(row[1]),
         attribute_scores=np.array([float(v) for v in row[2:7]]),
         attribute_labels=np.array([int(v) for v in row[7:12]]),
-    ), unique=True)
+    ), unique="clip_id")

@@ -6,13 +6,14 @@ file.  Embeddings are z-scored with statistics fit on training data only.
 """
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .csvrows import read_rows, replacing, write_rows
+from .csvrows import read_columns, read_rows, replacing, write_rows
 from .frontend import AudioClip, Spectrogram, stft_bin_freqs, stft_power
 from .timbre import SILENCE_POWER_FLOOR, SilentClipError
 
@@ -29,6 +30,7 @@ STD_FLOOR = 1e-9
 TDCE_MAGIC = b"TDCE"
 TDCE_VERSION = 1
 _TDCE_HEADER = struct.Struct("<4sIII")  # magic, version, dim, count
+_IDS_HEADER = ["row", "clip_id"]
 
 
 class TdceError(ValueError):
@@ -179,23 +181,23 @@ def write_embeddings(path, embeddings) -> None:
         if embeddings:
             data = np.vstack([e.vector for e in embeddings]).astype("<f4")
             fh.write(data.tobytes(order="C"))
-        write_rows(_ids_path(path), ["row", "clip_id"],
+        write_rows(_ids_path(path), _IDS_HEADER,
                    ([row, emb.clip_id] for row, emb in enumerate(embeddings)))
 
 
 def read_tdce(path):
     """Read a TDCE file and its id sidecar into (clip ids, [count x dim] float64)."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _TDCE_HEADER.size:
+        head = fh.read(_TDCE_HEADER.size)
+        payload = os.fstat(fh.fileno()).st_size - len(head)
+    if len(head) < _TDCE_HEADER.size:
         raise TdceError(f"{path}: truncated header")
-    magic, version, dim, count = _TDCE_HEADER.unpack_from(raw, 0)
+    magic, version, dim, count = _TDCE_HEADER.unpack(head)
     if magic != TDCE_MAGIC:
         raise TdceError(f"{path}: bad magic {magic!r}")
     if version != TDCE_VERSION:
         raise TdceError(f"{path}: unsupported version {version}")
     expected = count * dim * 4
-    payload = len(raw) - _TDCE_HEADER.size
     if payload < expected:
         raise TdceError(
             f"{path}: truncated payload ({payload} bytes, expected {expected})"
@@ -203,20 +205,26 @@ def read_tdce(path):
     if payload > expected:
         raise TdceError(f"{path}: {payload - expected} trailing bytes")
 
-    ids = []
+    ids_path = _ids_path(path)
+    columns = read_columns(ids_path, _IDS_HEADER, unique="clip_id")
+    if columns is not None and columns[0] == list(map(str, range(len(columns[0])))):
+        ids = columns[1]
+    else:                       # quoted ids and every fault go row by row
+        ids = []
 
-    def add_id(_, row):
-        if row[0] != str(len(ids)):
-            raise ValueError(f"malformed row {row}")
-        ids.append(row[1])
+        def add_id(_, row):
+            if row[0] != str(len(ids)):
+                raise ValueError(f"malformed row {row}")
+            ids.append(row[1])
 
-    read_rows(_ids_path(path), ["row", "clip_id"], add_id, TdceError)
+        read_rows(ids_path, _IDS_HEADER, add_id, TdceError, unique="clip_id")
     if len(ids) != count:
         raise TdceError(
             f"{path}: id count mismatch ({len(ids)} ids for {count} embeddings)"
         )
 
-    vectors = np.frombuffer(raw, "<f4", count * dim, _TDCE_HEADER.size).reshape(count, dim)
+    vectors = np.fromfile(path, "<f4", count * dim, offset=_TDCE_HEADER.size)
+    vectors = vectors.reshape(count, dim)
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad.size:
         raise TdceError(f"{path}: embedding row {bad[0]} (clip {ids[bad[0]]!r}) is not finite")

@@ -9,10 +9,11 @@ the perceptual attributes, not calibrated psychoacoustic units.
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
-from .csvrows import read_rows, write_rows
+from .csvrows import read_columns, read_rows, write_rows
 from .frontend import (
     ENVELOPE_MOD_HZ,
     AudioClip,
@@ -199,6 +200,17 @@ def write_timbre_csv(path, rows) -> None:
 
 def read_timbre_table(path):
     """Read a timbre CSV into (clip ids, [N x 5] values), checked as TimbreVector."""
+    columns = read_columns(path, TIMBRE_CSV_HEADER, unique="clip_id")
+    if columns is not None:
+        ids = columns[0]
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(columns[1:])), np.float64,
+                                 N_ATTRIBUTES * len(ids)).reshape(N_ATTRIBUTES, -1).T.copy()
+        except ValueError:
+            values = None
+        if values is not None and _timbre_violation(values) is None:
+            return ids, values
+    # Quoted ids and every fault go row by row, so that errors name the row.
     ids, rows = [], []
 
     def parse(row, fields):
@@ -206,7 +218,7 @@ def read_timbre_table(path):
         rows.append(row)
         return [float(v) for v in fields[1:]]
 
-    values = read_rows(path, TIMBRE_CSV_HEADER, parse, unique=True)
+    values = read_rows(path, TIMBRE_CSV_HEADER, parse, unique="clip_id")
     values = np.array(values, dtype=np.float64).reshape(-1, N_ATTRIBUTES)
     problem = _timbre_violation(values)
     if problem is not None:

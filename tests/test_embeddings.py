@@ -11,6 +11,7 @@ from timbrediff.embeddings import (
     distances_to,
     fit_normalization,
     import_embeddings,
+    read_tdce,
     spectral_features,
     write_embeddings,
 )
@@ -217,6 +218,17 @@ class TestTdceFormat:
         ids.write_text("row,clip_id\n0,a\n2,b\n1,c\n")
         with pytest.raises(TdceError, match=re.escape(f"{ids}: row 3: malformed row")):
             import_embeddings(path)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "row_wise"])
+    def test_repeated_sidecar_id_names_file_and_both_rows(self, tmp_path, quoted):
+        path = tmp_path / "emb.tdce"
+        write_embeddings(path, self.embeddings(3, 2))
+        ids = tmp_path / "emb.tdce.ids.csv"
+        a = '"a"' if quoted else "a"
+        ids.write_text(f"row,clip_id\n0,{a}\n1,b\n2,{a}\n")
+        with pytest.raises(TdceError, match=re.escape(
+                f"{ids}: row 4: duplicate clip_id 'a' (first at row 2)")):
+            read_tdce(path)
 
     def test_id_count_mismatch(self, tmp_path):
         path = tmp_path / "emb.tdce"
