@@ -77,27 +77,27 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _stored_precision(vec: TimbreVector) -> TimbreVector:
+def _stored_precision(values: np.ndarray) -> np.ndarray:
     # Query features must match the precision of the persisted reference
     # set (9 significant digits in timbre.csv, float32 in embeddings.tdce),
     # otherwise a clip scored against itself would not tie exactly.
-    return TimbreVector(*(float(f"{v:.9g}") for v in vec.as_array()))
+    return np.array([float(f"{v:.9g}") for v in values.flat]).reshape(values.shape)
 
 
 def _analyse_clip(path, provider):
-    """Decode and analyse one clip: its TimbreVector and, for the spectral
-    provider, its raw spectral features (None otherwise).  A ValueError
-    names the clip's path."""
+    """Decode and analyse one clip: its 5 timbre values and, for the
+    spectral provider, its raw spectral features (None otherwise).  A
+    ValueError names the clip's path."""
     clip = load_wav(path)
     try:
         clip = resample(clip, CANONICAL_RATE)
         # One STFT per clip; a clip too short for timbre fails on that first.
         spec = stft_power(clip) if clip.duration >= MIN_ROUGHNESS_DURATION else None
-        vec = compute_timbre_vector(clip, spec=spec)
+        values = compute_timbre_vector(clip, spec=spec).as_array()
         features = spectral_features(clip, spec=spec) if provider == SPECTRAL_PROVIDER else None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return vec, features
+    return values, features
 
 
 def _workers(n_clips: int) -> int:
@@ -112,9 +112,10 @@ def _workers(n_clips: int) -> int:
 def _analyse(args, entries, provider=None):
     """Decode and analyse each clip of `entries` once.
 
-    Returns the clip ids, the (clip_id, TimbreVector) rows and the [N x D]
-    raw features of `provider` (None without one).  External features come
-    from the --embeddings TDCE file, which must hold every clip.
+    Returns the clip ids, their [N x 5] timbre values and the [N x D] raw
+    features of `provider`: None without one, the timbre values for the
+    timbre provider.  External features come from the --embeddings TDCE
+    file, which must hold every clip.
 
     Clips are spread over _workers(len(entries)) forked processes.  Results
     arrive in manifest order, and of several bad clips the first in the
@@ -150,15 +151,14 @@ def _analyse(args, entries, provider=None):
         with ProcessPoolExecutor(workers, mp_context=fork) as pool:
             chunksize = -(-len(paths) // (4 * workers))
             analysed = list(pool.map(analyse, paths, chunksize=chunksize))
-    timbre_rows = [(cid, vec) for cid, (vec, _) in zip(clip_ids, analysed)]
-    raw = None                  # reshaped so that no clips still gives [0 x D]
-    if provider == TIMBRE_PROVIDER:
-        raw = np.array([vec.as_array() for vec, _ in analysed]).reshape(-1, N_ATTRIBUTES)
-    elif provider == SPECTRAL_PROVIDER:
+    # Reshaped so that no clips still gives [0 x 5] and [0 x D].
+    timbre = np.array([values for values, _ in analysed]).reshape(-1, N_ATTRIBUTES)
+    raw = timbre if provider == TIMBRE_PROVIDER else None
+    if provider == SPECTRAL_PROVIDER:
         raw = np.array([features for _, features in analysed]).reshape(-1, SPECTRAL_DIM)
     elif provider == EXTERNAL_PROVIDER:
         raw = vectors[[tdce_row[cid] for cid in clip_ids]]
-    return clip_ids, timbre_rows, raw
+    return clip_ids, timbre, raw
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,18 @@ def cmd_fit(args) -> int:
     train = [e for e in load_manifest(args.manifest) if e.split == "train"]
     if not train:
         raise ManifestError("manifest has no training rows")
-    clip_ids, timbre_rows, raw = _analyse(args, train, args.provider)
+    # Settings that score would reject fail here, before any clip is decoded.
+    for option, check in (("--k", lambda: check_k(args.k, len(train))),
+                          ("--t", lambda: check_t(args.t))):
+        try:
+            check()
+        except ValueError as exc:
+            raise ValueError(f"{option}: {exc}") from None
+    clip_ids, timbre, raw = _analyse(args, train, args.provider)
     stats = fit_normalization(raw)
     embeddings = [Embedding(z, args.provider, cid)
                   for cid, z in zip(clip_ids, (raw - stats.mean) / stats.std)]
+    timbre_rows = [(cid, TimbreVector.from_array(row)) for cid, row in zip(clip_ids, timbre)]
     distance = (DistanceKind.parse(args.distance) if args.distance
                 else DEFAULT_DISTANCE[args.provider])
     save_model(args.out, embeddings, timbre_rows, stats, distance,
@@ -224,7 +232,7 @@ def cmd_score(args) -> int:
     provider = config["provider"]
 
     tests = [e for e in load_manifest(args.manifest) if e.split == "test"]
-    clip_ids, timbre_rows, raw = _analyse(args, tests, provider)
+    clip_ids, timbre, raw = _analyse(args, tests, provider)
     if args.k is None:          # the model's k, checked after a bad clip is named
         try:
             check_k(k, ref.size)
@@ -232,9 +240,7 @@ def cmd_score(args) -> int:
             raise ValueError(f"{Path(args.model) / CONFIG_NAME}: {exc}") from None
     norm = ref.normalization    # z-scored, then float32 like embeddings.tdce
     z32 = ((raw - norm.mean) / norm.std).astype("<f4").astype(np.float64)
-    query_embeddings = [Embedding(z, provider, cid) for cid, z in zip(clip_ids, z32)]
-    query_timbres = [_stored_precision(vec) for _, vec in timbre_rows]
-    results = score_clips(ref, query_embeddings, query_timbres, k=k, t=t,
+    results = score_clips(ref, clip_ids, z32, _stored_precision(timbre), k=k, t=t,
                           baseline=args.baseline)
 
     write_results_csv(args.out, results)
@@ -250,8 +256,8 @@ def cmd_score(args) -> int:
 def cmd_gen_gt(args) -> int:
     entries = load_manifest(args.manifest)
     needed = [e for e in entries if e.split == "train" or e.state == "anomalous"]
-    timbre_vectors = dict(_analyse(args, needed)[1])
-    records = generate_ground_truth(entries, timbre_vectors, t_prime=args.t_prime)
+    clip_ids, timbre, _ = _analyse(args, needed)
+    records = generate_ground_truth(entries, clip_ids, timbre, t_prime=args.t_prime)
     write_ground_truth_csv(args.out, records)
     stats = ground_truth_statistics(records)
     _log(f"gen-gt: t_prime: {args.t_prime:g}, {stats['groups']} groups, "

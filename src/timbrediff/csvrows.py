@@ -56,7 +56,8 @@ def read_rows(path, header, parse, error=ValueError, unique=None) -> list:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        row = raw.count(b"\n", 0, exc.start) + 1
+        # csv.reader ends a line at \r\n, \n or a lone \r.
+        row = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
         raise error(f"{path}: row {row}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     key = header.index(unique) if unique else None

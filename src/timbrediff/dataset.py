@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvrows import read_rows, write_rows
-from .detector import auc, threshold_label
+from .detector import auc, check_scores_and_labels, threshold_label
 from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES
 
 DEFAULT_T_PRIME = 0.05
@@ -66,14 +66,7 @@ class GroundTruthRecord:
     labels: np.ndarray    # per-attribute {-1, 0, 1}
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=int)
-        if scores.shape != (N_ATTRIBUTES,) or labels.shape != (N_ATTRIBUTES,):
-            raise ValueError("scores and labels must each have 5 entries")
-        if not np.all((scores >= 0.0) & (scores <= 1.0)):
-            raise ValueError("ground truth scores must lie in [0, 1]")
-        if not np.isin(labels, (-1, 0, 1)).all():
-            raise ValueError("labels must be -1, 0 or 1")
+        scores, labels = check_scores_and_labels(self.scores, self.labels, "ground truth")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
 
@@ -98,30 +91,22 @@ def write_manifest_csv(path, entries) -> None:
 # Ground truth generation
 # ---------------------------------------------------------------------------
 
-def _timbre_rows(entries, timbre_vectors) -> np.ndarray:
-    rows = []
-    for entry in entries:
-        if entry.clip_id not in timbre_vectors:
-            raise GroundTruthError(f"missing timbre vector for clip {entry.clip_id!r}")
-        rows.append(timbre_vectors[entry.clip_id].as_array())
-    return np.vstack(rows)
-
-
-def generate_ground_truth(entries, timbre_vectors,
+def generate_ground_truth(entries, clip_ids, timbre,
                           t_prime: float = DEFAULT_T_PRIME) -> list:
     """One labeled record per (condition, cause) group of anomalous clips.
 
+    Row i of the [N x 5] `timbre` holds the metric values of clip_ids[i].
     Per attribute, the score is the AUC of the group's metric values
     against the same-condition normal training values; the label applies
     the t_prime threshold to that score.
     """
-    train_by_condition = {}
+    timbre = np.asarray(timbre, dtype=np.float64)
+    row_of = {clip_id: row for row, clip_id in enumerate(clip_ids)}
+
+    train_by_condition, groups = {}, {}
     for entry in entries:
         if entry.split == "train":
             train_by_condition.setdefault(entry.condition_id, []).append(entry)
-
-    groups = {}
-    for entry in entries:
         if entry.state == "anomalous":
             groups.setdefault((entry.condition_id, entry.cause_id), []).append(entry)
 
@@ -132,10 +117,14 @@ def generate_ground_truth(entries, timbre_vectors,
                 f"condition {condition_id!r} has anomalous clips but no normal "
                 "training clips"
             )
-        normal_values = _timbre_rows(train_by_condition[condition_id], timbre_vectors)
-        anomalous_values = _timbre_rows(groups[(condition_id, cause_id)], timbre_vectors)
+        normal = train_by_condition[condition_id]
+        members = normal + groups[(condition_id, cause_id)]
+        missing = [e.clip_id for e in members if e.clip_id not in row_of]
+        if missing:
+            raise GroundTruthError(f"missing timbre vector for clip {missing[0]!r}")
+        values = timbre[[row_of[e.clip_id] for e in members]]
         scores = np.array([
-            auc(normal_values[:, col], anomalous_values[:, col])
+            auc(values[:len(normal), col], values[len(normal):, col])
             for col in range(N_ATTRIBUTES)
         ])
         records.append(GroundTruthRecord(condition_id, cause_id, scores,

@@ -67,6 +67,19 @@ class ReferenceSet:
         return self.embeddings.shape[0]
 
 
+def check_scores_and_labels(scores, labels, kind: str):
+    """5 scores in [0, 1] and 5 labels in {-1, 0, 1} as arrays; errors name the `kind`."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=int)
+    if scores.shape != (N_ATTRIBUTES,) or labels.shape != (N_ATTRIBUTES,):
+        raise ValueError("scores and labels must each have 5 entries")
+    if not np.all((scores >= 0.0) & (scores <= 1.0)):
+        raise ValueError(f"{kind} scores must lie in [0, 1]")
+    if not np.isin(labels, (-1, 0, 1)).all():
+        raise ValueError("labels must be -1, 0 or 1")
+    return scores, labels
+
+
 @dataclass(frozen=True)
 class TimbreDiffResult:
     clip_id: str
@@ -76,14 +89,8 @@ class TimbreDiffResult:
     neighbor_indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
     def __post_init__(self):
-        scores = np.asarray(self.attribute_scores, dtype=np.float64)
-        labels = np.asarray(self.attribute_labels, dtype=int)
-        if scores.shape != (N_ATTRIBUTES,) or labels.shape != (N_ATTRIBUTES,):
-            raise ValueError("scores and labels must each have 5 entries")
-        if not np.all((scores >= 0.0) & (scores <= 1.0)):
-            raise ValueError("attribute scores must lie in [0, 1]")
-        if not np.isin(labels, (-1, 0, 1)).all():
-            raise ValueError("labels must be -1, 0 or 1")
+        scores, labels = check_scores_and_labels(self.attribute_scores,
+                                                 self.attribute_labels, "attribute")
         if self.anomaly_score < 0.0 or not np.isfinite(self.anomaly_score):
             raise ValueError("anomaly score must be finite and nonnegative")
         object.__setattr__(self, "attribute_scores", scores)
@@ -142,27 +149,28 @@ def check_t(t: float) -> None:
 
 
 def knn(ref: ReferenceSet, queries, k: int):
-    """The k nearest training rows of each query Embedding, exact.
+    """The k nearest training rows of each row of the [Q x D] queries, exact.
 
     Returns [Q x k] (indices, distances): per query, bit for bit, the head
     of a stable argsort of distances_to over all rows, so ties go to the
     lower index.  A Gram pass over blocks of queries keeps candidate rows,
     which are rescored with distances_to and stable-sorted in index order.
     """
-    queries = list(queries)
+    queries = np.asarray(queries, dtype=np.float64)
     dim = ref.embeddings.shape[1]
-    if any(q.provider_id != ref.provider_id or q.vector.size != dim for q in queries):
-        raise ValueError(f"queries must be {dim}-dim {ref.provider_id!r} embeddings")
+    if queries.ndim != 2 or queries.shape[1] != dim:
+        raise ValueError(f"queries must be [Q x {dim}], got shape {queries.shape}")
+    if not np.all(np.isfinite(queries)):
+        raise ValueError("query embeddings must be finite")
     check_k(k, ref.size)
     indices = np.empty((len(queries), k), dtype=int)
     distances = np.empty((len(queries), k))
     block = max(1, _GRAM_BLOCK_BYTES // (8 * ref.size))
     for start in range(0, len(queries), block):
-        vectors = np.array([q.vector for q in queries[start:start + block]])
+        vectors = queries[start:start + block]
         candidates = _gram_candidates(ref.embeddings, vectors, ref.distance_kind, k)
         for i, rows in enumerate(candidates, start):
-            dists = distances_to(ref.embeddings[rows], vectors[i - start],
-                                 ref.distance_kind)
+            dists = distances_to(ref.embeddings[rows], queries[i], ref.distance_kind)
             order = np.argsort(dists, kind="stable")[:k]
             indices[i], distances[i] = rows[order], dists[order]
     return indices, distances
@@ -236,16 +244,17 @@ def _rank_and_label(query_values, reference_values, t: float):
     return scores, threshold_label(scores, t)
 
 
-def score_clips(ref: ReferenceSet, query_embeddings, query_timbres,
+def score_clips(ref: ReferenceSet, clip_ids, queries, values,
                 k: int = DEFAULT_K, t: float = DEFAULT_T, baseline=None) -> list:
-    """score_clip for each query, all answered by one kNN search.
-
-    With baseline="global", attribute scores and labels rank each query
-    against every training clip instead of its neighbors.
+    """One TimbreDiffResult per query: clip_ids[i], row i of the [Q x D]
+    embeddings and row i of the [Q x 5] raw timbre values, all answered by
+    one kNN search.  With baseline="global", attribute scores and labels
+    rank each query against every training clip instead of its neighbors.
     """
-    query_embeddings = list(query_embeddings)
-    indices, distances = knn(ref, query_embeddings, k)
-    values = np.array([tv.as_array() for tv in query_timbres]).reshape(-1, N_ATTRIBUTES)
+    indices, distances = knn(ref, queries, k)
+    values = np.asarray(values, dtype=np.float64)
+    if len(clip_ids) != len(indices) or values.shape != (len(indices), N_ATTRIBUTES):
+        raise ValueError(f"need a clip id and {N_ATTRIBUTES} timbre values per query")
     if baseline == "global":
         ranked = zip(*global_baseline_score(ref, values, t))
     elif baseline is None:
@@ -253,15 +262,19 @@ def score_clips(ref: ReferenceSet, query_embeddings, query_timbres,
                   for v, rows in zip(values, indices))
     else:
         raise ValueError(f"unknown baseline {baseline!r}")
-    return [TimbreDiffResult(emb.clip_id, anomaly_score(dists), scores, labels, rows)
-            for emb, dists, (scores, labels), rows
-            in zip(query_embeddings, distances, ranked, indices)]
+    return [TimbreDiffResult(clip_id, anomaly_score(dists), scores, labels, rows)
+            for clip_id, dists, (scores, labels), rows
+            in zip(clip_ids, distances, ranked, indices)]
 
 
 def score_clip(ref: ReferenceSet, query_embedding: Embedding, query_timbre,
                k: int = DEFAULT_K, t: float = DEFAULT_T) -> TimbreDiffResult:
-    """Joint anomaly score and per-attribute difference labels for one clip."""
-    return score_clips(ref, [query_embedding], [query_timbre], k, t)[0]
+    """Joint anomaly score and per-attribute difference labels for one clip:
+    score_clips on one query, an Embedding of the reference set's provider."""
+    if query_embedding.provider_id != ref.provider_id:
+        raise ValueError(f"query is not a {ref.provider_id!r} embedding")
+    return score_clips(ref, [query_embedding.clip_id], [query_embedding.vector],
+                       [query_timbre.as_array()], k, t)[0]
 
 
 def global_baseline_score(ref: ReferenceSet, query_values, t: float = DEFAULT_T):

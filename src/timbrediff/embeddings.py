@@ -86,15 +86,11 @@ class NormalizationStats:
         return self.mean.size
 
 
-def fit_normalization(vectors) -> NormalizationStats:
-    """Per-dimension mean and population std, std clamped below at 1e-9."""
-    rows = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if len(rows) < 2:
-        raise ValueError("need at least 2 vectors to fit normalization")
-    dim = rows[0].size
-    if any(r.ndim != 1 or r.size != dim for r in rows):
-        raise ValueError("vectors must all share one dimension")
-    data = np.vstack(rows)
+def fit_normalization(data) -> NormalizationStats:
+    """Per-column mean and population std of [N x D] data, std clamped below at 1e-9."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] < 2:
+        raise ValueError("need an [N x D] array of at least 2 rows to fit normalization")
     return NormalizationStats(data.mean(axis=0),
                               np.maximum(data.std(axis=0), STD_FLOOR))
 

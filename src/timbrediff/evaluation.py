@@ -30,13 +30,9 @@ class EvalReport:
     n_clips: int
 
 
-def truth_label_counts(truths) -> np.ndarray:
-    """counts[attribute, value_index] over the truth labels."""
-    counts = np.zeros((N_ATTRIBUTES, len(LABEL_VALUES)), dtype=int)
-    for labels in truths.values():
-        for col in range(N_ATTRIBUTES):
-            counts[col, LABEL_VALUES.index(int(labels[col]))] += 1
-    return counts
+def truth_label_counts(labels) -> np.ndarray:
+    """counts[attribute, value_index] over [C x 5] truth labels."""
+    return (np.asarray(labels, dtype=int)[:, :, None] == LABEL_VALUES).sum(axis=0)
 
 
 def normalized_mae(predictions, truths) -> np.ndarray:
@@ -48,30 +44,29 @@ def normalized_mae(predictions, truths) -> np.ndarray:
     """
     if not truths:
         raise ValueError("normalized_mae needs at least one truth clip")
-    for clip_id, labels in truths.items():
-        if clip_id not in predictions:
-            raise CoverageError(f"missing prediction for clip {clip_id!r}")
-        for label in (*labels, *predictions[clip_id]):
-            if int(label) not in LABEL_VALUES:
-                raise ValueError(f"clip {clip_id!r}: label {label} out of range")
+    clip_ids = list(truths)
+    missing = [clip_id for clip_id in clip_ids if clip_id not in predictions]
+    if missing:
+        raise CoverageError(f"missing prediction for clip {missing[0]!r}")
+    truth = np.array([truths[c] for c in clip_ids], dtype=int)
+    pred = np.array([predictions[c] for c in clip_ids], dtype=int)
+    both = np.hstack([truth, pred])
+    bad = np.argwhere(~np.isin(both, LABEL_VALUES))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"clip {clip_ids[row]!r}: label {both[row, col]} out of range")
 
-    counts = truth_label_counts(truths)
-    totals = np.zeros(N_ATTRIBUTES)
-    for clip_id, labels in truths.items():
-        pred = np.asarray(predictions[clip_id], dtype=int)
-        for col in range(N_ATTRIBUTES):
-            truth = int(labels[col])
-            class_size = counts[col, LABEL_VALUES.index(truth)]
-            totals[col] += abs(int(pred[col]) - truth) / class_size
+    counts = truth_label_counts(truth)
+    class_size = counts[np.arange(N_ATTRIBUTES), truth - LABEL_VALUES[0]]
+    # Summed over axis 0, a row at a time: in clip order, as a loop would.
+    totals = (np.abs(pred - truth) / class_size).sum(axis=0)
     classes_present = (counts > 0).sum(axis=1)
     return totals / classes_present
 
 
 def build_report(results, entries, records) -> EvalReport:
     """Aggregate scored results against a manifest and its ground truth."""
-    by_id = {}
-    for res in results:
-        by_id[res.clip_id] = res
+    by_id = {res.clip_id: res for res in results}
 
     test_entries = [e for e in entries if e.split == "test"]
     missing = [e.clip_id for e in test_entries if e.clip_id not in by_id]
@@ -87,11 +82,10 @@ def build_report(results, entries, records) -> EvalReport:
         raise CoverageError("evaluation needs both normal and anomalous test clips")
 
     truths = assign_labels(entries, records)
-    predictions = {clip_id: by_id[clip_id].attribute_labels
-                   for clip_id in truths if clip_id in by_id}
+    predictions = {clip_id: by_id[clip_id].attribute_labels for clip_id in truths}
     mae_values = normalized_mae(predictions, truths)
 
-    counts = truth_label_counts(truths)
+    counts = truth_label_counts(list(truths.values()))
     counts_dict = {
         name: {str(value): int(counts[col, idx])
                for idx, value in enumerate(LABEL_VALUES)}

@@ -175,7 +175,9 @@ def test_c06_ground_truth_recovers_intended_directions(default_benchmark,
                                                        benchmark_features):
     timbre, _ = benchmark_features
     start = time.perf_counter()
-    records = generate_ground_truth(default_benchmark.manifest, timbre,
+    clip_ids = list(timbre)
+    values = np.array([vec.as_array() for vec in timbre.values()])
+    records = generate_ground_truth(default_benchmark.manifest, clip_ids, values,
                                     t_prime=0.05)
     by_cause = {c.cause_id: c for c in default_benchmark.causes}
     matched = opposite = total = 0
@@ -262,7 +264,7 @@ def test_c08_self_match_zero_score_and_labels(default_benchmark,
                                               benchmark_features):
     timbre, features = benchmark_features
     train = [e for e in default_benchmark.manifest if e.split == "train"]
-    stats = fit_normalization([features[e.clip_id] for e in train])
+    stats = fit_normalization(np.array([features[e.clip_id] for e in train]))
     embeddings = [Embedding((features[e.clip_id] - stats.mean) / stats.std,
                             "spectral", e.clip_id) for e in train]
     ref = ReferenceSet(

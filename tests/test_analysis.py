@@ -82,11 +82,9 @@ def test_shared_path_equals_standalone_calls(clip_dir, provider, usable_cpus):
         usable_cpus(cpus)
         assert _workers(len(entries)) == cpus
         clear_grid_caches()
-        clip_ids, timbre_rows, raw = _analyse(args, entries, provider)
+        clip_ids, values, raw = _analyse(args, entries, provider)
         assert clip_ids == [e.clip_id for e in entries]
-        got = [vec.as_array() for _, vec in timbre_rows]
-        assert [cid for cid, _ in timbre_rows] == clip_ids
-        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+        assert values.tobytes() == np.array(expected).tobytes()
         if provider == "timbre":
             assert raw.tobytes() == np.array(expected).tobytes()
         elif provider == "spectral":

@@ -68,11 +68,11 @@ class TestFitCommand:
         model = tmp_path / "model"
         assert run("fit", "--manifest", tiny_dataset / "manifest.csv",
                    "--audio-root", tiny_dataset, "--provider", "spectral",
-                   "--out", model) == 0
+                   "--out", model, "--k", "18") == 0
         ref, config = load_model(model)
         assert ref.size == 18
         assert config["provider"] == "spectral"
-        assert config["k"] == 30 and config["t"] == 0.1
+        assert config["k"] == 18 and config["t"] == 0.1
         assert len(import_embeddings(model / "embeddings.tdce")) == 18
         assert (model / "timbre.csv").read_text().count("\n") == 19
 
@@ -80,7 +80,7 @@ class TestFitCommand:
         model = tmp_path / "model"
         assert run("fit", "--manifest", tiny_dataset / "manifest.csv",
                    "--audio-root", tiny_dataset, "--provider", "timbre",
-                   "--out", model) == 0
+                   "--out", model, "--k", "5") == 0
         ref, _ = load_model(model)
         stats = ref.normalization
         z = (ref.timbre_values - stats.mean) / stats.std
@@ -91,14 +91,14 @@ class TestFitCommand:
     def test_external_requires_embeddings(self, tiny_dataset, tmp_path, capsys):
         assert run("fit", "--manifest", tiny_dataset / "manifest.csv",
                    "--audio-root", tiny_dataset, "--provider", "external",
-                   "--out", tmp_path / "m") == 1
+                   "--out", tmp_path / "m", "--k", "5") == 1
         assert "--embeddings" in capsys.readouterr().err
 
     def test_refit_identical_except_timestamp(self, tiny_dataset, tmp_path):
         for name in ("m1", "m2"):
             assert run("fit", "--manifest", tiny_dataset / "manifest.csv",
                        "--audio-root", tiny_dataset, "--provider", "timbre",
-                       "--out", tmp_path / name) == 0
+                       "--out", tmp_path / name, "--k", "5") == 0
         for filename in ("embeddings.tdce", "embeddings.tdce.ids.csv",
                          "timbre.csv", "normalization.json"):
             assert ((tmp_path / "m1" / filename).read_bytes()
@@ -112,10 +112,10 @@ class TestFitCommand:
     def test_model_roundtrip_matches_refit(self, tiny_dataset, tmp_path):
         run("fit", "--manifest", tiny_dataset / "manifest.csv",
             "--audio-root", tiny_dataset, "--provider", "spectral",
-            "--out", tmp_path / "m1")
+            "--out", tmp_path / "m1", "--k", "5")
         run("fit", "--manifest", tiny_dataset / "manifest.csv",
             "--audio-root", tiny_dataset, "--provider", "spectral",
-            "--out", tmp_path / "m2")
+            "--out", tmp_path / "m2", "--k", "5")
         ref1, _ = load_model(tmp_path / "m1")
         ref2, _ = load_model(tmp_path / "m2")
         assert np.array_equal(ref1.embeddings, ref2.embeddings)
@@ -128,7 +128,7 @@ def fitted(tiny_dataset, tmp_path_factory):
     model = tmp_path_factory.mktemp("model") / "m"
     assert run("fit", "--manifest", tiny_dataset / "manifest.csv",
                "--audio-root", tiny_dataset, "--provider", "spectral",
-               "--out", model) == 0
+               "--out", model, "--k", "5") == 0
     return model
 
 
@@ -320,7 +320,7 @@ class TestExternalProvider:
         model = tmp_path / "model"
         assert run("fit", "--manifest", tiny_dataset / "manifest.csv",
                    "--audio-root", tiny_dataset, "--provider", "external",
-                   "--embeddings", tdce, "--out", model) == 0
+                   "--embeddings", tdce, "--out", model, "--k", "5") == 0
         out = tmp_path / "results.csv"
         assert run("score", "--model", model,
                    "--manifest", tiny_dataset / "manifest.csv",
@@ -343,14 +343,14 @@ class TestExternalProvider:
                   "--audio-root", tiny_dataset]
         model = tmp_path / "model"
         assert run("fit", *common, "--provider", "external", "--embeddings", full,
-                   "--out", model) == 0
+                   "--out", model, "--k", "5") == 0
         capsys.readouterr()
         for split in ("train", "test"):
             dropped = next(e.clip_id for e in entries if e.split == split)
             write_embeddings(partial, [v for v in vectors if v.clip_id != dropped])
             if split == "train":
                 code = run("fit", *common, "--provider", "external",
-                           "--embeddings", partial, "--out", tmp_path / "m2")
+                           "--embeddings", partial, "--out", tmp_path / "m2", "--k", "5")
             else:
                 code = run("score", "--model", model, *common,
                            "--embeddings", partial, "--out", tmp_path / "r.csv")
@@ -368,7 +368,7 @@ class TestExternalProvider:
         model = tmp_path / "model"
         run("fit", "--manifest", tiny_dataset / "manifest.csv",
             "--audio-root", tiny_dataset, "--provider", "external",
-            "--embeddings", tdce, "--out", model)
+            "--embeddings", tdce, "--out", model, "--k", "5")
         assert run("score", "--model", model,
                    "--manifest", tiny_dataset / "manifest.csv",
                    "--audio-root", tiny_dataset,
@@ -385,7 +385,8 @@ def replace_one_clip(tiny_dataset, fitted, tmp_path, stage, clip):
     entry = next(e for e in load_manifest(root / "manifest.csv") if e.split == split)
     save_wav(root / entry.path, clip)
     common = ["--manifest", root / "manifest.csv", "--audio-root", root]
-    argv = {"fit": ["fit", *common, "--provider", "spectral", "--out", tmp_path / "m"],
+    argv = {"fit": ["fit", *common, "--provider", "spectral", "--k", "5",
+                    "--out", tmp_path / "m"],
             "score": ["score", "--model", fitted, *common, "--out", tmp_path / "r.csv"],
             "gen-gt": ["gen-gt", *common, "--out", tmp_path / "gt.csv"]}[stage]
     return argv, root / entry.path
@@ -426,7 +427,7 @@ def copy_with_damaged_train_clips(tiny_dataset, tmp_path, damage):
 
 def fit_error(root, tmp_path, capsys):
     assert run("fit", "--manifest", root / "manifest.csv", "--audio-root", root,
-               "--provider", "spectral", "--out", tmp_path / "m") == 1
+               "--provider", "spectral", "--k", "5", "--out", tmp_path / "m") == 1
     return capsys.readouterr().err
 
 
@@ -476,7 +477,7 @@ def test_a_killed_worker_fails_the_stage(tiny_dataset, tmp_path, monkeypatch, us
     try:
         with pytest.raises(BrokenProcessPool):
             run("fit", "--manifest", tiny_dataset / "manifest.csv", "--audio-root",
-                tiny_dataset, "--provider", "spectral", "--out", tmp_path / "m")
+                tiny_dataset, "--provider", "spectral", "--k", "5", "--out", tmp_path / "m")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -495,7 +496,7 @@ def test_fit_runs_one_stft_per_clip(tiny_dataset, tmp_path, monkeypatch, usable_
         if name.startswith("timbrediff") and getattr(module, "stft_power", None) is original:
             monkeypatch.setattr(module, "stft_power", counting)
     assert run("fit", "--manifest", tiny_dataset / "manifest.csv", "--audio-root",
-               tiny_dataset, "--provider", "spectral", "--out", tmp_path / "m") == 0
+               tiny_dataset, "--provider", "spectral", "--k", "5", "--out", tmp_path / "m") == 0
     train = [e for e in load_manifest(tiny_dataset / "manifest.csv") if e.split == "train"]
     assert len(calls) == len(train) == 18
 
@@ -551,7 +552,7 @@ def test_bad_value_names_its_file(tiny_dataset, model_copy, tmp_path, capsys, ca
                                 for e in load_manifest(tiny_dataset / "manifest.csv")])
         nan_row(path, 3)
         argv = ["fit", *common, "--provider", "external", "--embeddings", path,
-                "--out", tmp_path / "m"]
+                "--k", "5", "--out", tmp_path / "m"]
     else:
         path = model_copy / name
         damage(path)
@@ -577,12 +578,28 @@ def test_bad_override_fails_before_analysis(tiny_dataset, fitted, tmp_path, caps
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_config_k_above_rows_names_config(tiny_dataset, fitted, capsys, tmp_path):
-    # The fixture model keeps fit's default k = 30 over 18 rows.
-    assert run("score", "--model", fitted, "--manifest", tiny_dataset / "manifest.csv",
+@pytest.mark.parametrize("options,message", [
+    (["--k", "30"], "--k: k must satisfy 1 <= k <= 18, got 30"),
+    (["--k", "0"], "--k: k must satisfy 1 <= k <= 18, got 0"),
+    (["--k", "5", "--t", "0.7"], "--t: threshold t must lie in [0, 0.5), got 0.7"),
+    (["--k", "5", "--t", "-0.1"], "--t: threshold t must lie in [0, 0.5), got -0.1"),
+], ids=["k_above_rows", "k_zero", "t_high", "t_negative"])
+def test_fit_rejects_what_score_would_before_analysis(tiny_dataset, tmp_path, capsys,
+                                                      options, message):
+    # The audio root holds no clips: analysing one would fail differently.
+    model = tmp_path / "m"
+    assert run("fit", "--manifest", tiny_dataset / "manifest.csv", "--audio-root", tmp_path,
+               "--provider", "spectral", "--out", model, *options) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model.exists()
+
+
+def test_config_k_above_rows_names_config(tiny_dataset, model_copy, capsys, tmp_path):
+    edit_json(model_copy / "config.json", "k", 30)      # k = 30 over 18 rows
+    assert run("score", "--model", model_copy, "--manifest", tiny_dataset / "manifest.csv",
                "--audio-root", tiny_dataset, "--out", tmp_path / "r.csv") == 1
     assert capsys.readouterr().err == (
-        f"error: {fitted / 'config.json'}: k must satisfy 1 <= k <= 18, got 30\n")
+        f"error: {model_copy / 'config.json'}: k must satisfy 1 <= k <= 18, got 30\n")
 
 
 class TestGenGtAndEval:

@@ -41,6 +41,11 @@ def uniform_vector(value):
     return TimbreVector(value, value, value, 500.0 + value, value)
 
 
+def as_arrays(timbre):
+    """{clip_id: TimbreVector} as generate_ground_truth's ids and [N x 5] values."""
+    return list(timbre), np.array([vec.as_array() for vec in timbre.values()])
+
+
 class TestManifest:
     HEADER = "clip_id,path,split,state,condition,cause,domain"
 
@@ -148,7 +153,7 @@ class TestGenerateGroundTruth:
         entries = self.manifest_one_group()
         timbre = {f"n{i}": uniform_vector(0.1 + 0.01 * i) for i in range(4)}
         timbre.update({f"a{i}": uniform_vector(0.5 + 0.01 * i) for i in range(3)})
-        records = generate_ground_truth(entries, timbre, 0.05)
+        records = generate_ground_truth(entries, *as_arrays(timbre), 0.05)
         assert len(records) == 1
         assert np.all(records[0].scores == 1.0)
         assert np.all(records[0].labels == 1)
@@ -160,7 +165,7 @@ class TestGenerateGroundTruth:
                    entry("a1", "test", "anomalous", "c1", "q1")]
         timbre = {"n0": uniform_vector(0.2), "n1": uniform_vector(0.4),
                   "a0": uniform_vector(0.2), "a1": uniform_vector(0.4)}
-        records = generate_ground_truth(entries, timbre, 0.05)
+        records = generate_ground_truth(entries, *as_arrays(timbre), 0.05)
         assert np.all(records[0].scores == 0.5)
         assert np.all(records[0].labels == 0)
 
@@ -170,7 +175,7 @@ class TestGenerateGroundTruth:
         entries.append(entry("a0", "test", "anomalous", "c1", "q1"))
         timbre = {f"n{i}": uniform_vector(0.3 + 0.01 * i) for i in range(20)}
         timbre["a0"] = uniform_vector(0.305)  # above n0 only
-        records = generate_ground_truth(entries, timbre, 0.05)
+        records = generate_ground_truth(entries, *as_arrays(timbre), 0.05)
         assert np.all(records[0].scores == 0.05)
         assert np.all(records[0].labels == -1)
 
@@ -179,22 +184,37 @@ class TestGenerateGroundTruth:
                    entry("a0", "test", "anomalous", "c2", "q1")]
         timbre = {"n0": uniform_vector(0.2), "a0": uniform_vector(0.4)}
         with pytest.raises(GroundTruthError, match="c2"):
-            generate_ground_truth(entries, timbre)
+            generate_ground_truth(entries, *as_arrays(timbre))
 
     def test_missing_timbre_vector(self):
         entries = self.manifest_one_group()
         timbre = {e.clip_id: uniform_vector(0.2) for e in entries}
         del timbre["a1"]
         with pytest.raises(GroundTruthError, match="a1"):
-            generate_ground_truth(entries, timbre)
+            generate_ground_truth(entries, *as_arrays(timbre))
+
+    @pytest.mark.parametrize("absent,named", [
+        (("a_c2", "a_c1"), "a_c1"),     # the first group in sorted order, not the manifest
+        (("a_c1", "n_c1"), "n_c1"),     # a group's normal clips before its anomalous ones
+        (("b_c1", "a_c1"), "a_c1"),     # a group's clips in manifest order
+    ])
+    def test_missing_clip_is_named_group_by_group(self, absent, named):
+        entries = [entry("n_c2", "train", "normal", "c2"),
+                   entry("a_c2", "test", "anomalous", "c2", "q1"),
+                   entry("a_c1", "test", "anomalous", "c1", "q1"),
+                   entry("b_c1", "test", "anomalous", "c1", "q1"),
+                   entry("n_c1", "train", "normal", "c1")]
+        timbre = {e.clip_id: uniform_vector(0.2) for e in entries if e.clip_id not in absent}
+        with pytest.raises(GroundTruthError, match=f"clip '{named}'"):
+            generate_ground_truth(entries, *as_arrays(timbre))
 
     def test_permutation_invariance(self):
         entries = self.manifest_one_group()
         rng = np.random.default_rng(67)
         timbre = {e.clip_id: uniform_vector(float(rng.uniform(0.1, 0.9)))
                   for e in entries}
-        records_a = generate_ground_truth(entries, timbre)
-        records_b = generate_ground_truth(list(reversed(entries)), timbre)
+        records_a = generate_ground_truth(entries, *as_arrays(timbre))
+        records_b = generate_ground_truth(list(reversed(entries)), *as_arrays(timbre))
         assert len(records_a) == len(records_b)
         for a, b in zip(records_a, records_b):
             assert np.array_equal(a.scores, b.scores)

@@ -53,7 +53,7 @@ def make_query(vector, clip_id="q"):
 
 
 def knn_one(ref, query, k):
-    """(indices, distances) of a single query's k nearest rows."""
+    """(indices, distances) of a single query vector's k nearest rows."""
     indices, distances = knn(ref, [query], k)
     return indices[0], distances[0]
 
@@ -61,31 +61,26 @@ def knn_one(ref, query, k):
 class TestKnn:
     def test_exact_match(self):
         ref = make_ref([[0.0], [1.0], [10.0]])
-        indices, distances = knn_one(ref, make_query([1.0]), 1)
+        indices, distances = knn_one(ref, [1.0], 1)
         assert indices[0] == 1
         assert distances[0] == 0.0
 
     def test_two_nearest(self):
         ref = make_ref([[0.0], [1.0], [10.0]])
-        indices, distances = knn_one(ref, make_query([0.4]), 2)
+        indices, distances = knn_one(ref, [0.4], 2)
         assert list(zip(indices, distances)) == [(0, 0.4), (1, 0.6)]
 
     def test_tie_breaks_to_lower_index(self):
         ref = make_ref([[0.0], [3.0], [5.0], [9.0], [1.0], [5.0]])
-        indices, _ = knn_one(ref, make_query([5.0]), 1)
+        indices, _ = knn_one(ref, [5.0], 1)
         assert indices[0] == 2
 
     def test_k_out_of_range(self):
         ref = make_ref([[0.0], [1.0]])
         with pytest.raises(ValueError):
-            knn(ref, [make_query([0.0])], 3)
+            knn(ref, [[0.0]], 3)
         with pytest.raises(ValueError):
-            knn(ref, [make_query([0.0])], 0)
-
-    def test_provider_mismatch(self):
-        ref = make_ref([[0.0]])
-        with pytest.raises(ValueError):
-            knn(ref, [Embedding(np.zeros(1), "other")], 1)
+            knn(ref, [[0.0]], 0)
 
 
 class TestBatchedSearch:
@@ -120,7 +115,7 @@ class TestBatchedSearch:
         block_bytes = data.draw(st.sampled_from([8, detector._GRAM_BLOCK_BYTES]))
         ref = make_ref(rows, kind=kind)
         with mock.patch.object(detector, "_GRAM_BLOCK_BYTES", block_bytes):
-            indices, distances = knn(ref, [make_query(q) for q in queries], k)
+            indices, distances = knn(ref, np.array(queries), k)
         for query, got_indices, got_distances in zip(queries, indices, distances):
             full = distances_to(rows, query, kind)
             order = np.argsort(full, kind="stable")[:k]
@@ -138,12 +133,18 @@ class TestBatchedSearch:
             assert max(len(c) for c in candidates) <= 12
 
     def test_no_queries(self):
-        indices, distances = knn(make_ref([[0.0], [1.0]]), [], 1)
+        indices, distances = knn(make_ref([[0.0, 1.0], [1.0, 0.0]]), np.empty((0, 2)), 1)
         assert indices.shape == distances.shape == (0, 1)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            knn(make_ref([[0.0, 1.0]]), [make_query([0.0])], 1)
+        ref = make_ref([[0.0, 1.0]])
+        for queries in ([[0.0]], np.zeros((2, 3)), np.zeros(2), np.zeros((1, 1, 2))):
+            with pytest.raises(ValueError, match=r"queries must be \[Q x 2\]"):
+                knn(ref, queries, 1)
+
+    def test_non_finite_query(self):
+        with pytest.raises(ValueError, match="finite"):
+            knn(make_ref([[0.0], [1.0]]), [[0.0], [np.inf]], 1)
 
 
 class TestAnomalyScore:
@@ -152,7 +153,7 @@ class TestAnomalyScore:
 
     def test_self_match_zero(self):
         ref = make_ref([[2.0], [5.0]])
-        _, distances = knn_one(ref, make_query([2.0]), 1)
+        _, distances = knn_one(ref, [2.0], 1)
         assert anomaly_score(distances) == 0.0
 
     def test_matches_mean_oracle(self):
@@ -296,6 +297,46 @@ class TestScoreClip:
         b = score_clip(ref_shifted, make_query(q + shift), tv, k=5, t=0.1)
         assert abs(a.anomaly_score - b.anomaly_score) < 1e-9
 
+    def test_provider_mismatch(self):
+        ref = make_ref([[0.0]])
+        with pytest.raises(ValueError, match="'p' embedding"):
+            score_clip(ref, Embedding(np.zeros(1), "other"),
+                       TimbreVector(1.0, 0.1, 0.5, 1000.0, 0.5), k=1)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_score_clips_equals_score_clip_per_query(self, data):
+        n = data.draw(st.integers(1, 12))
+        dim = data.draw(st.integers(1, 3))
+        q = data.draw(st.integers(0, 6))
+        # Few distinct values: rows repeat, distances and timbre values tie.
+        cell = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+        tied = st.sampled_from([0.25, 0.5, 0.75])
+
+        def matrix(rows, cols, values):
+            drawn = data.draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows))
+            return np.array(drawn, dtype=np.float64).reshape(rows, cols)
+
+        kind = data.draw(st.sampled_from(list(DistanceKind)))
+        ref = make_ref(matrix(n, dim, cell), matrix(n, 5, tied), kind)
+        queries, values = matrix(q, dim, cell), matrix(q, 5, tied)
+        k = data.draw(st.integers(1, n))
+        t = data.draw(st.sampled_from([0.0, 0.1, 0.25]))
+        block_bytes = data.draw(st.sampled_from([8, detector._GRAM_BLOCK_BYTES]))
+        ids = [f"q{i}" for i in range(q)]
+        with mock.patch.object(detector, "_GRAM_BLOCK_BYTES", block_bytes):
+            batch = detector.score_clips(ref, ids, queries, values, k=k, t=t)
+        assert [res.clip_id for res in batch] == ids
+        for query, value, res in zip(queries, values, batch):
+            one = score_clip(ref, make_query(query, res.clip_id),
+                             TimbreVector.from_array(value), k=k, t=t)
+            assert np.float64(res.anomaly_score).tobytes() == \
+                np.float64(one.anomaly_score).tobytes()
+            assert res.attribute_scores.tobytes() == one.attribute_scores.tobytes()
+            assert res.attribute_labels.tolist() == one.attribute_labels.tolist()
+            assert res.neighbor_indices.tolist() == one.neighbor_indices.tolist()
+
 
 class TestGlobalBaseline:
     def test_above_every_training_value(self):
@@ -332,11 +373,11 @@ class TestGlobalBaseline:
         rng = np.random.default_rng(55)
         timbre = rng.integers(1, 5, size=(20, 5)) / 4       # many ties
         ref = make_ref(rng.normal(size=(20, 3)), timbre)
-        queries = [make_query(rng.normal(size=3), f"q{i}") for i in range(6)]
+        ids = [f"q{i}" for i in range(6)]
+        queries = rng.normal(size=(6, 3))
         values = rng.integers(1, 5, size=(6, 5)) / 4
-        tvs = [TimbreVector.from_array(v) for v in values]
-        knn_results = detector.score_clips(ref, queries, tvs, k=4, t=0.25)
-        global_results = detector.score_clips(ref, queries, tvs, k=4, t=0.25,
+        knn_results = detector.score_clips(ref, ids, queries, values, k=4, t=0.25)
+        global_results = detector.score_clips(ref, ids, queries, values, k=4, t=0.25,
                                               baseline="global")
         for res_knn, res, value in zip(knn_results, global_results, values):
             scores, labels = global_baseline_score(ref, [value], t=0.25)
@@ -346,7 +387,7 @@ class TestGlobalBaseline:
             assert res.attribute_scores.tolist() == scores[0].tolist()
             assert res.attribute_labels.tolist() == labels[0].tolist()
         with pytest.raises(ValueError, match="unknown baseline"):
-            detector.score_clips(ref, queries, tvs, k=4, baseline="knn")
+            detector.score_clips(ref, ids, queries, values, k=4, baseline="knn")
 
 
 def _reference_rank_score(test_value: float, neighbor_values) -> float:

@@ -54,18 +54,18 @@ class TestEmbedSpectral:
 
 class TestFitNormalization:
     def test_two_scalars(self):
-        stats = fit_normalization([np.array([0.0]), np.array([2.0])])
+        stats = fit_normalization(np.array([[0.0], [2.0]]))
         assert stats.mean[0] == 1.0
         assert stats.std[0] == 1.0
 
     def test_identical_vectors_clamp(self):
-        stats = fit_normalization([np.ones(3)] * 5)
+        stats = fit_normalization(np.ones((5, 3)))
         np.testing.assert_array_equal(stats.std, 1e-9)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(123)
         data = rng.normal(5.0, 3.0, size=(1000, 4))
-        stats = fit_normalization(list(data))
+        stats = fit_normalization(data)
         mean = data.sum(axis=0) / len(data)
         var = ((data - mean) ** 2).sum(axis=0) / len(data)
         np.testing.assert_allclose(stats.mean, mean, atol=1e-12)
@@ -73,14 +73,14 @@ class TestFitNormalization:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            fit_normalization([np.ones(3)])
+            fit_normalization(np.ones((1, 3)))
         with pytest.raises(ValueError):
-            fit_normalization([np.ones(3), np.ones(4)])
+            fit_normalization(np.ones(3))
 
     def test_zscored_train_set_is_standardized(self):
         rng = np.random.default_rng(7)
         data = rng.normal(2.0, 0.5, size=(200, 6))
-        stats = fit_normalization(list(data))
+        stats = fit_normalization(data)
         z = (data - stats.mean) / stats.std
         assert np.abs(z.mean(axis=0)).max() < 1e-9
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-6)

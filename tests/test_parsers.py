@@ -85,6 +85,23 @@ def test_csv_readers(tmp_path_factory, header, read, error):
     run()
 
 
+@pytest.mark.parametrize("header,read,error", [
+    (MANIFEST_CSV_HEADER, load_manifest, ManifestError),
+    (TIMBRE_CSV_HEADER, read_timbre_table, ValueError),
+], ids=["manifest", "timbre"])
+@pytest.mark.parametrize("ends", [["\n"], ["\r\n"], ["\r"], ["\r", "\r\n", "\n"]],
+                         ids=["lf", "crlf", "cr", "mixed"])
+def test_undecodable_byte_names_its_row(tmp_path, header, read, error, ends):
+    # csv.reader ends a line at each of \n, \r\n and a lone \r.
+    lines = [",".join(header)] + [",".join([f"c{i}"] * len(header)) for i in range(3)]
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode().replace(b"c2", b"c\xff"))     # on line 4
+    with pytest.raises(error) as caught:
+        read(path)
+    assert str(caught.value).startswith(f"{path}: row 4: 'utf-8' codec can't decode byte 0xff")
+
+
 TDCE_HEADER = st.builds(lambda version, dim, count: struct.pack("<4sIII", b"TDCE",
                                                                   version, dim, count),
                         st.sampled_from([1, 2]), st.integers(0, 4), st.integers(0, 4))
