@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .csvrows import read_columns, read_rows, replacing, write_rows
+from .csvrows import read_columns, read_rows, replacing, write_table
 from .frontend import AudioClip, Spectrogram, stft_bin_freqs, stft_power
 from .timbre import SILENCE_POWER_FLOOR, SilentClipError
 
@@ -59,8 +59,6 @@ class Embedding:
         vec = np.asarray(self.vector, dtype=np.float64)
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("embedding vector must be non-empty and 1-D")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("embedding components must be finite")
         object.__setattr__(self, "vector", vec)
 
 
@@ -162,23 +160,29 @@ def _ids_path(path) -> str:
     return f"{path}.ids.csv"
 
 
-def write_embeddings(path, embeddings) -> None:
-    """Write embeddings to a TDCE file plus its `<file>.ids.csv` sidecar.
+def write_embeddings(path, clip_ids, vectors) -> None:
+    """Write clip ids and their [N x D] vectors to a TDCE file plus its
+    `<file>.ids.csv` sidecar.  The vectors are cast to float32 once; a row
+    that is not finite then fails as read_tdce would name it, before either
+    file is touched.
 
     Layout: magic `TDCE`, u32 version=1, u32 dim, u32 count, then
     count x dim float32 little-endian, row-major.
     """
-    embeddings = list(embeddings)
-    dim = embeddings[0].vector.size if embeddings else 0
-    if any(e.vector.size != dim for e in embeddings):
-        raise ValueError("embeddings must all share one dimension")
+    data = np.asarray(vectors)
+    if data.ndim != 2 or len(data) != len(clip_ids):
+        raise ValueError(f"{path}: expected {len(clip_ids)} embedding rows of one "
+                         f"dimension, got shape {data.shape}")
+    with np.errstate(over="ignore"):    # beyond float32's range is inf, caught below
+        data = data.astype("<f4", order="C", copy=False)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: embedding row {bad[0]} (clip {clip_ids[bad[0]]!r}) "
+                         "is not finite")
     with replacing(path, "wb") as fh:  # a failed sidecar keeps the old payload
-        fh.write(_TDCE_HEADER.pack(TDCE_MAGIC, TDCE_VERSION, dim, len(embeddings)))
-        if embeddings:
-            data = np.vstack([e.vector for e in embeddings]).astype("<f4")
-            fh.write(data.tobytes(order="C"))
-        write_rows(_ids_path(path), _IDS_HEADER,
-                   ([row, emb.clip_id] for row, emb in enumerate(embeddings)))
+        fh.write(_TDCE_HEADER.pack(TDCE_MAGIC, TDCE_VERSION, data.shape[1], len(data)))
+        fh.write(data)
+        write_table(_ids_path(path), _IDS_HEADER, ("%d", "%s"), [range(len(data)), clip_ids])
 
 
 def read_tdce(path):

@@ -7,8 +7,11 @@ set the scorer should query; every write goes through csvrows.replacing.
 
 import json
 from datetime import datetime, timezone
-from itertools import zip_longest
+from itertools import chain, zip_longest
+from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .csvrows import write_json
@@ -22,7 +25,7 @@ from .embeddings import (
     read_tdce,
     write_embeddings,
 )
-from .timbre import read_timbre_table, write_timbre_csv
+from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES, read_timbre_table, write_timbre_csv
 
 CONFIG_NAME = "config.json"
 EMBEDDINGS_NAME = "embeddings.tdce"
@@ -39,16 +42,23 @@ class ModelDirectoryError(ValueError):
 
 def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
                k: int, t: float) -> None:
-    """Persist a fitted model; timbre_rows is an ordered (clip_id, vector) list."""
+    """Persist a fitted model; timbre_rows is an ordered (clip_id, vector) list.
+    The objects become one [N x D] and one [N x 5] array for the writers."""
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
     embeddings = list(embeddings)
     timbre_rows = list(timbre_rows)
-    if [e.clip_id for e in embeddings] != [cid for cid, _ in timbre_rows]:
+    clip_ids = [e.clip_id for e in embeddings]
+    if clip_ids != [cid for cid, _ in timbre_rows]:
         raise ModelDirectoryError("embedding and timbre clip ids must align")
+    # Cast once, to the float32 the file holds, so no float64 copy is made.
+    vectors = np.array([e.vector for e in embeddings], "<f4") if embeddings else np.empty((0, 0))
+    fields = attrgetter(*ATTRIBUTE_NAMES)   # a TimbreVector's values, as_array's order
+    timbre = np.fromiter(chain.from_iterable(fields(vec) for _, vec in timbre_rows), np.float64,
+                         N_ATTRIBUTES * len(timbre_rows)).reshape(-1, N_ATTRIBUTES)
 
-    write_embeddings(model_dir / EMBEDDINGS_NAME, embeddings)
-    write_timbre_csv(model_dir / TIMBRE_NAME, timbre_rows)
+    write_embeddings(model_dir / EMBEDDINGS_NAME, clip_ids, vectors)
+    write_timbre_csv(model_dir / TIMBRE_NAME, clip_ids, timbre)
     write_json(model_dir / NORMALIZATION_NAME, {"mean": normalization.mean.tolist(),
                                                 "std": normalization.std.tolist()})
     write_json(model_dir / CONFIG_NAME, {
@@ -58,8 +68,8 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
         "distance": distance_kind.value,
         "k": int(k),
         "t": float(t),
-        "count": len(embeddings),
-        "dim": embeddings[0].vector.size if embeddings else 0,
+        "count": len(clip_ids),
+        "dim": vectors.shape[1],
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "tool_version": __version__,
     })

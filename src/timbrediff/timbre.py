@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .csvrows import read_columns, read_rows, write_rows
+from .csvrows import read_columns, read_rows, write_table
 from .frontend import (
     ENVELOPE_MOD_HZ,
     AudioClip,
@@ -192,10 +192,19 @@ def compute_timbre_vector(clip: AudioClip, spec: Spectrogram = None) -> TimbreVe
 # CSV export
 # ---------------------------------------------------------------------------
 
-def write_timbre_csv(path, rows) -> None:
-    """Write (clip_id, TimbreVector) pairs; values keep 9 significant digits."""
-    write_rows(path, TIMBRE_CSV_HEADER, ([clip_id] + [f"{v:.9g}" for v in vec.as_array()]
-                                         for clip_id, vec in rows))
+def write_timbre_csv(path, clip_ids, values) -> None:
+    """Write clip ids and their [N x 5] values, checked as TimbreVector;
+    values keep 9 significant digits.  A bad row fails as read_timbre_table
+    would name it, before the file is touched."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(clip_ids), N_ATTRIBUTES):
+        raise ValueError(f"{path}: expected [{len(clip_ids)} x {N_ATTRIBUTES}] timbre values, "
+                         f"got shape {values.shape}")
+    problem = _timbre_violation(values)
+    if problem is not None:
+        raise ValueError(f"{path}: row {problem[0] + 2}: {problem[1]}")
+    write_table(path, TIMBRE_CSV_HEADER, ("%s",) + ("%.9g",) * N_ATTRIBUTES,
+                [clip_ids, *values.T])
 
 
 def read_timbre_table(path):

@@ -15,7 +15,7 @@ from timbrediff import cli, frontend
 from timbrediff.cli import main
 from timbrediff.dataset import load_manifest
 from timbrediff.detector import read_results_csv
-from timbrediff.embeddings import Embedding, import_embeddings, write_embeddings
+from timbrediff.embeddings import import_embeddings, write_embeddings
 from timbrediff.frontend import AudioClip, save_wav
 from timbrediff.store import ModelDirectoryError, load_model
 from timbrediff.synth import default_benchmark_specs, generate_dataset
@@ -313,9 +313,9 @@ class TestExternalProvider:
             vec = rng_e.normal(size=12)
             if e.state == "anomalous":
                 vec += 3.0
-            vectors.append(Embedding(vec, "external", e.clip_id))
+            vectors.append(vec)
         tdce = tmp_path / "ext.tdce"
-        write_embeddings(tdce, vectors)
+        write_embeddings(tdce, [e.clip_id for e in entries], vectors)
 
         model = tmp_path / "model"
         assert run("fit", "--manifest", tiny_dataset / "manifest.csv",
@@ -336,9 +336,9 @@ class TestExternalProvider:
                                                     capsys):
         entries = load_manifest(tiny_dataset / "manifest.csv")
         full, partial = tmp_path / "full.tdce", tmp_path / "partial.tdce"
-        vectors = [Embedding(np.full(4, float(i)), "external", e.clip_id)
-                   for i, e in enumerate(entries)]
-        write_embeddings(full, vectors)
+        ids = [e.clip_id for e in entries]
+        vectors = np.repeat(np.arange(len(ids), dtype=float)[:, None], 4, axis=1)
+        write_embeddings(full, ids, vectors)
         common = ["--manifest", tiny_dataset / "manifest.csv",
                   "--audio-root", tiny_dataset]
         model = tmp_path / "model"
@@ -347,7 +347,8 @@ class TestExternalProvider:
         capsys.readouterr()
         for split in ("train", "test"):
             dropped = next(e.clip_id for e in entries if e.split == split)
-            write_embeddings(partial, [v for v in vectors if v.clip_id != dropped])
+            kept = [i for i, cid in enumerate(ids) if cid != dropped]
+            write_embeddings(partial, [ids[i] for i in kept], vectors[kept])
             if split == "train":
                 code = run("fit", *common, "--provider", "external",
                            "--embeddings", partial, "--out", tmp_path / "m2", "--k", "5")
@@ -361,10 +362,10 @@ class TestExternalProvider:
     def test_score_without_embeddings_fails(self, tiny_dataset, tmp_path,
                                             capsys):
         entries = load_manifest(tiny_dataset / "manifest.csv")
-        vectors = [Embedding(np.ones(4) * i, "external", e.clip_id)
-                   for i, e in enumerate(entries)]
+        ids = [e.clip_id for e in entries]
+        vectors = np.repeat(np.arange(len(ids), dtype=float)[:, None], 4, axis=1)
         tdce = tmp_path / "ext.tdce"
-        write_embeddings(tdce, vectors)
+        write_embeddings(tdce, ids, vectors)
         model = tmp_path / "model"
         run("fit", "--manifest", tiny_dataset / "manifest.csv",
             "--audio-root", tiny_dataset, "--provider", "external",
@@ -548,8 +549,8 @@ def test_bad_value_names_its_file(tiny_dataset, model_copy, tmp_path, capsys, ca
     common = ["--manifest", tiny_dataset / "manifest.csv", "--audio-root", tiny_dataset]
     if name is None:            # fit reads a damaged --embeddings file
         path = tmp_path / "ext.tdce"
-        write_embeddings(path, [Embedding(np.ones(4), "external", e.clip_id)
-                                for e in load_manifest(tiny_dataset / "manifest.csv")])
+        ids = [e.clip_id for e in load_manifest(tiny_dataset / "manifest.csv")]
+        write_embeddings(path, ids, np.ones((len(ids), 4)))
         nan_row(path, 3)
         argv = ["fit", *common, "--provider", "external", "--embeddings", path,
                 "--k", "5", "--out", tmp_path / "m"]

@@ -303,6 +303,13 @@ class TestScoreClip:
             score_clip(ref, Embedding(np.zeros(1), "other"),
                        TimbreVector(1.0, 0.1, 0.5, 1000.0, 0.5), k=1)
 
+    def test_nan_query_fails_in_knn(self):
+        # Embedding checks shape only; knn checks the whole query array.
+        ref = make_ref([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="^query embeddings must be finite$"):
+            score_clip(ref, make_query([0.5, np.nan]),
+                       TimbreVector(1.0, 0.1, 0.5, 1000.0, 0.5), k=1)
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_score_clips_equals_score_clip_per_query(self, data):

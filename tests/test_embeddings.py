@@ -163,30 +163,41 @@ class TestDistance:
                                           distances_to(matrix[5:13], q, kind))
 
 
+class TestEmbedding:
+    @pytest.mark.parametrize("vector", [np.ones((2, 2)), np.ones(0)], ids=["2d", "empty"])
+    def test_shape_checked(self, vector):
+        with pytest.raises(ValueError, match="non-empty and 1-D"):
+            Embedding(vector, "external")
+
+    def test_values_left_to_whole_array_checks(self):
+        # write_embeddings, knn and read_tdce each check a whole array.
+        assert np.isnan(Embedding(np.array([1.0, np.nan]), "external").vector[1])
+
+
 class TestTdceFormat:
     def embeddings(self, count, dim, seed=0):
+        """(clip ids, [count x dim] float32-exact vectors) for write_embeddings."""
         rng = np.random.default_rng(seed)
-        return [Embedding(rng.normal(size=dim).astype("<f4").astype(np.float64),
-                          "external", f"clip_{i:03d}")
-                for i in range(count)]
+        return ([f"clip_{i:03d}" for i in range(count)],
+                rng.normal(size=(count, dim)).astype("<f4").astype(np.float64))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tdce"
-        write_embeddings(path, [])
+        write_embeddings(path, [], np.empty((0, 0)))
         assert import_embeddings(path) == []
 
     def test_roundtrip_bit_exact(self, tmp_path):
-        original = self.embeddings(3, 7)
+        ids, vectors = self.embeddings(3, 7)
         path = tmp_path / "emb.tdce"
-        write_embeddings(path, original)
+        write_embeddings(path, ids, vectors)
         loaded = import_embeddings(path)
-        assert [e.clip_id for e in loaded] == [e.clip_id for e in original]
-        for a, b in zip(loaded, original):
-            assert np.array_equal(a.vector, b.vector)
+        assert [e.clip_id for e in loaded] == ids
+        for a, b in zip(loaded, vectors):
+            assert np.array_equal(a.vector, b)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "emb.tdce"
-        write_embeddings(path, self.embeddings(2, 5))
+        write_embeddings(path, *self.embeddings(2, 5))
         raw = path.read_bytes()
         assert raw[:4] == b"TDCE"
         assert int.from_bytes(raw[4:8], "little") == 1
@@ -196,7 +207,7 @@ class TestTdceFormat:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "emb.tdce"
-        write_embeddings(path, self.embeddings(2, 5))
+        write_embeddings(path, *self.embeddings(2, 5))
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
         with pytest.raises(TdceError, match="truncated"):
@@ -204,7 +215,7 @@ class TestTdceFormat:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "emb.tdce"
-        write_embeddings(path, self.embeddings(1, 3))
+        write_embeddings(path, *self.embeddings(1, 3))
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
@@ -213,7 +224,7 @@ class TestTdceFormat:
 
     def test_bad_sidecar_row_names_file_and_row(self, tmp_path):
         path = tmp_path / "emb.tdce"
-        write_embeddings(path, self.embeddings(3, 2))
+        write_embeddings(path, *self.embeddings(3, 2))
         ids = tmp_path / "emb.tdce.ids.csv"
         ids.write_text("row,clip_id\n0,a\n2,b\n1,c\n")
         with pytest.raises(TdceError, match=re.escape(f"{ids}: row 3: malformed row")):
@@ -222,7 +233,7 @@ class TestTdceFormat:
     @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "row_wise"])
     def test_repeated_sidecar_id_names_file_and_both_rows(self, tmp_path, quoted):
         path = tmp_path / "emb.tdce"
-        write_embeddings(path, self.embeddings(3, 2))
+        write_embeddings(path, *self.embeddings(3, 2))
         ids = tmp_path / "emb.tdce.ids.csv"
         a = '"a"' if quoted else "a"
         ids.write_text(f"row,clip_id\n0,{a}\n1,b\n2,{a}\n")
@@ -232,7 +243,7 @@ class TestTdceFormat:
 
     def test_id_count_mismatch(self, tmp_path):
         path = tmp_path / "emb.tdce"
-        write_embeddings(path, self.embeddings(2, 3))
+        write_embeddings(path, *self.embeddings(2, 3))
         ids = tmp_path / "emb.tdce.ids.csv"
         ids.write_text("row,clip_id\n0,only_one\n")
         with pytest.raises(TdceError, match="count"):

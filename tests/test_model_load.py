@@ -1,5 +1,7 @@
 """load_model reads a model's CSVs in bulk where it can and row by row where
-it must; either way it gives the same ids, the same bits and the same errors."""
+it must; either way it gives the same ids, the same bits and the same errors.
+save_model writes them a whole array at a time, with the bytes of the
+row-wise writers it replaced."""
 
 import re
 import shutil
@@ -8,10 +10,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from timbrediff import embeddings, timbre
-from timbrediff.csvrows import read_columns
-from timbrediff.embeddings import DistanceKind, Embedding, NormalizationStats, TdceError
+from timbrediff import csvrows, embeddings, timbre
+from timbrediff.csvrows import read_columns, replacing, write_rows
+from timbrediff.embeddings import (
+    _TDCE_HEADER,
+    TDCE_MAGIC,
+    TDCE_VERSION,
+    DistanceKind,
+    Embedding,
+    NormalizationStats,
+    TdceError,
+)
 from timbrediff.store import load_model, save_model
 from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector
 
@@ -120,3 +132,97 @@ def test_bulk_sized_model_errors_name_file_and_row(bulk_model, tmp_path, case):
         load_model(model_dir)
     with row_wise(), pytest.raises(error, match=f"^{re.escape(expected)}$"):
         load_model(model_dir)
+
+
+def _reference_write_timbre_csv(path, rows):
+    """Oracle: the former write_timbre_csv, one csv.writer row per
+    (clip_id, TimbreVector) pair, each value formatted on its own."""
+    write_rows(path, TIMBRE_CSV_HEADER, ([clip_id] + [f"{v:.9g}" for v in vec.as_array()]
+                                         for clip_id, vec in rows))
+
+
+def _reference_write_embeddings(path, embeddings):
+    """Oracle: the former write_embeddings, from a list of Embedding, with
+    its sidecar written one csv.writer row per embedding."""
+    embeddings = list(embeddings)
+    dim = embeddings[0].vector.size if embeddings else 0
+    with replacing(path, "wb") as fh:
+        fh.write(_TDCE_HEADER.pack(TDCE_MAGIC, TDCE_VERSION, dim, len(embeddings)))
+        if embeddings:
+            data = np.vstack([e.vector for e in embeddings]).astype("<f4")
+            fh.write(data.tobytes(order="C"))
+        write_rows(f"{path}.ids.csv", ["row", "clip_id"],
+                   ([row, emb.clip_id] for row, emb in enumerate(embeddings)))
+
+
+# Ids with every character csv.writer quotes, spaces, non-ASCII text and "".
+clip_id_texts = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "7", "é", "東", "–"])
+                        | st.characters(blacklist_categories=("Cs",),
+                                        blacklist_characters="\0"), max_size=6)
+
+
+def timbre_floats(lo, hi):
+    """Floats in [lo, hi]: any, subnormal, 0.0, +-1e300 where in range, and
+    exact integers.  1e300 stays clear of 9-digit rounding up to inf."""
+    special = [v for v in (0.0, -0.0, 5e-324, 2.5e-310, 1e-300, 1.0, 1e300) if lo <= v <= hi]
+    return (st.floats(lo, hi) | st.sampled_from(special)
+            | st.integers(0, min(int(hi), 2 ** 53)).map(float))
+
+
+timbre_rows = st.tuples(timbre_floats(0.0, 1e300), timbre_floats(0.0, 1e300),
+                        timbre_floats(0.0, 1.0),
+                        timbre_floats(0.0, 1e300).filter(lambda v: v > 0.0),
+                        timbre_floats(0.0, 1.0))
+# Float64 values the float32 payload holds as finite, some only as subnormals or 0.
+embedding_floats = (st.floats(-3e38, 3e38)
+                    | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1e-40, 1e38, 16777217.0])
+                    | st.integers(-2 ** 53, 2 ** 53).map(float))
+
+
+@st.composite
+def models(draw):
+    ids = draw(st.lists(clip_id_texts, min_size=1, max_size=8, unique=True))
+    dim = draw(st.integers(1, 5))
+    vectors = draw(st.lists(st.lists(embedding_floats, min_size=dim, max_size=dim),
+                            min_size=len(ids), max_size=len(ids)))
+    values = draw(st.lists(timbre_rows, min_size=len(ids), max_size=len(ids)))
+    return ids, np.array(vectors, dtype=np.float64), np.array(values, dtype=np.float64)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model=models())
+def test_bulk_writers_match_row_wise_writers(tmp_path_factory, model):
+    ids, vectors, values = model
+    old, new = tmp_path_factory.mktemp("old"), tmp_path_factory.mktemp("new")
+    _reference_write_embeddings(old / "embeddings.tdce",
+                                [Embedding(v, "spectral", cid) for v, cid in zip(vectors, ids)])
+    _reference_write_timbre_csv(old / "timbre.csv",
+                                [(cid, TimbreVector.from_array(v)) for cid, v in zip(ids, values)])
+    save_model(new, [Embedding(v, "spectral", cid) for v, cid in zip(vectors, ids)],
+               [(cid, TimbreVector.from_array(v)) for cid, v in zip(ids, values)],
+               NormalizationStats(np.zeros(vectors.shape[1]), np.ones(vectors.shape[1])),
+               DistanceKind.EUCLIDEAN, k=1, t=0.25)
+    for name in ("embeddings.tdce", "embeddings.tdce.ids.csv", "timbre.csv"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+    bulk = loaded(new)
+    with row_wise():
+        assert loaded(new) == bulk
+    ref, _ = load_model(new)
+    assert ref.clip_ids == tuple(ids)
+    assert ref.embeddings.tobytes() == vectors.astype(np.float32).astype(np.float64).tobytes()
+    nine_digits = [[float(f"{v:.9g}") for v in row] for row in values]
+    assert ref.timbre_values.tobytes() == np.array(nine_digits).tobytes()
+
+
+def test_bulk_writers_match_row_wise_writers_across_blocks(tmp_path):
+    # One id that needs quoting, in the second of three blocks of rows.
+    ids = [f"clip_{i:05d}" for i in range(2 * csvrows._BLOCK_ROWS + 3)]
+    ids[csvrows._BLOCK_ROWS + 7] = 'a,"b"'
+    vectors, values = save(tmp_path / "new", ids)
+    _reference_write_embeddings(tmp_path / "embeddings.tdce",
+                                [Embedding(v, "spectral", cid) for v, cid in zip(vectors, ids)])
+    _reference_write_timbre_csv(tmp_path / "timbre.csv",
+                                [(cid, TimbreVector.from_array(v)) for cid, v in zip(ids, values)])
+    for name in ("embeddings.tdce", "embeddings.tdce.ids.csv", "timbre.csv"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / name).read_bytes(), name

@@ -15,7 +15,7 @@ from timbrediff.dataset import (
     write_manifest_csv,
 )
 from timbrediff.detector import TimbreDiffResult, read_results_csv, write_results_csv
-from timbrediff.embeddings import Embedding, read_tdce, write_embeddings
+from timbrediff.embeddings import read_tdce, write_embeddings
 from timbrediff.frontend import AudioClip, load_wav, save_wav
 from timbrediff.timbre import TimbreVector, read_timbre_csv, write_timbre_csv
 
@@ -65,7 +65,8 @@ timbre_vectors = st.builds(TimbreVector, nine_digits(0.0, 50.0), nine_digits(0.0
 @given(rows=unique_ids(timbre_vectors))
 def test_timbre_csv(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("timbre") / "timbre.csv"
-    write_timbre_csv(path, rows)
+    write_timbre_csv(path, [cid for cid, _ in rows],
+                     np.array([vec.as_array() for _, vec in rows]).reshape(-1, 5))
     assert list(read_timbre_csv(path).items()) == rows
 
 
@@ -106,7 +107,8 @@ float32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
 def test_tdce(tmp_path_factory, dim, data):
     rows = data.draw(unique_ids(st.lists(float32s, min_size=dim, max_size=dim)))
     path = tmp_path_factory.mktemp("tdce") / "emb.tdce"
-    write_embeddings(path, [Embedding(vec, "external", cid) for cid, vec in rows])
+    write_embeddings(path, [cid for cid, _ in rows],
+                     np.array([vec for _, vec in rows]).reshape(-1, dim))
     ids, vectors = read_tdce(path)
     assert ids == [cid for cid, _ in rows]
     assert vectors.reshape(-1).tolist() == [v for _, vec in rows for v in vec]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,7 +287,7 @@ class TestTimbreCsv:
             ("b", TimbreVector(8.0, 0.0, 1.0, 7999.0, 0.0)),
         ]
         path = tmp_path / "timbre.csv"
-        write_timbre_csv(path, rows)
+        write_timbre_csv(path, ["a", "b"], [vec.as_array() for _, vec in rows])
         text = path.read_text().splitlines()
         assert text[0] == "clip_id,sharpness,roughness,boominess,brightness,depth"
         loaded = read_timbre_csv(path)
@@ -293,18 +295,26 @@ class TestTimbreCsv:
         np.testing.assert_allclose(loaded["a"].as_array(),
                                    rows[0][1].as_array(), rtol=1e-8)
 
+    def test_out_of_range_value_fails_before_write(self, tmp_path):
+        # The row is named as read_timbre_table would name it: the header is row 1.
+        path = tmp_path / "timbre.csv"
+        values = [[1.0, 0.1, 0.5, 1000.0, 0.5]] * 3
+        values[2] = [1.0, 0.1, 1.5, 1000.0, 0.5]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 4: boominess must lie in [0, 1]")):
+            write_timbre_csv(path, ["a", "b", "c"], values)
+        assert not list(tmp_path.iterdir())
+
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "timbre.csv"
-        write_timbre_csv(path, [("x", TimbreVector(
-            1.0 / 3.0, 0.1, 0.5, 1000.123456789, 0.9))])
+        write_timbre_csv(path, ["x"], [[1.0 / 3.0, 0.1, 0.5, 1000.123456789, 0.9]])
         row = path.read_text().splitlines()[1].split(",")
         assert row[1] == "0.333333333"
         assert row[4] == "1000.12346"
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "timbre.csv"
-        vec = TimbreVector(1.0, 0.1, 0.5, 1000.0, 0.5)
-        write_timbre_csv(path, [("x", vec), ("x", vec)])
+        write_timbre_csv(path, ["x", "x"], [[1.0, 0.1, 0.5, 1000.0, 0.5]] * 2)
         with pytest.raises(ValueError):
             read_timbre_csv(path)
 
@@ -318,8 +328,7 @@ class TestTimbreCsv:
     ])
     def test_row_errors_name_file_and_row(self, tmp_path, bad_row, message):
         path = tmp_path / "timbre.csv"
-        vec = TimbreVector(1.0, 0.1, 0.5, 1000.0, 0.5)
-        write_timbre_csv(path, [("a", vec), ("b", vec)])
+        write_timbre_csv(path, ["a", "b"], [[1.0, 0.1, 0.5, 1000.0, 0.5]] * 2)
         path.write_text(path.read_text() + bad_row + "\n")
         with pytest.raises(ValueError) as info:
             read_timbre_table(path)
@@ -329,7 +338,7 @@ class TestTimbreCsv:
         rows = [("a", TimbreVector(3.0, 0.25, 0.5, 1234.5, 0.75)),
                 ("b", TimbreVector(8.0, 0.0, 1.0, 7999.0, 0.0))]
         path = tmp_path / "timbre.csv"
-        write_timbre_csv(path, rows)
+        write_timbre_csv(path, ["a", "b"], [vec.as_array() for _, vec in rows])
         ids, values = read_timbre_table(path)
         assert ids == ["a", "b"]
         np.testing.assert_array_equal(values, [v.as_array() for _, v in rows])

@@ -6,6 +6,7 @@ partway through.  The directory must be left exactly as it was: the old
 target whole and no temp file behind.
 """
 
+import re
 import struct
 
 import numpy as np
@@ -57,9 +58,10 @@ WRITERS = {
         GroundTruthRecord(cid, "hiss", [0.5] * 5, [0] * 5) for cid in clip_ids(good)]),
     "manifest": lambda path, good: write_manifest_csv(path, [
         ManifestEntry(cid, "a.wav", "train", "normal", "slow") for cid in clip_ids(good)]),
-    "timbre": lambda path, good: write_timbre_csv(path, [
-        (cid, VECTOR) for cid in clip_ids(good)]),
-    "tdce": lambda path, good: write_embeddings(path, embeddings(good)),
+    "timbre": lambda path, good: write_timbre_csv(path, clip_ids(good),
+                                                  np.tile(VECTOR.as_array(), (3, 1))),
+    "tdce": lambda path, good: write_embeddings(path, clip_ids(good),
+                                                np.full((3, 2), 1.0 if good else 2.0)),
     "report": lambda path, good: write_report_json(path, EvalReport(
         1.0, dict(zip("xyz", clip_ids(good))), 0.5, {"x": {"0": 3}}, 3)),
     "model": lambda path, good: save_model(
@@ -104,4 +106,19 @@ def test_pipeline_leaves_no_temp_files(tmp_path):
     run("eval", "--results", tmp_path / "results.csv", "--gt", tmp_path / "gt.csv",
         "--manifest", manifest, "--out", tmp_path / "report.json")
     assert (tmp_path / "report.json").is_file()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+# 1e300 is finite as float64 but not as the float32 the file holds.
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300])
+def test_non_finite_embedding_row_fails_before_the_write(tmp_path, bad):
+    path = tmp_path / "emb.tdce"
+    write_embeddings(path, ["a", "b", "c"], np.ones((3, 2)))
+    before = snapshot(tmp_path)
+    vectors = np.ones((3, 2))
+    vectors[1, 0] = bad
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: embedding row 1 (clip 'b') is not finite")):
+        write_embeddings(path, ["a", "b", "c"], vectors)
+    assert snapshot(tmp_path) == before
     assert not list(tmp_path.rglob("*.tmp"))
