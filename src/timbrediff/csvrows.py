@@ -36,36 +36,6 @@ def write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-# Rows formatted per string in write_table: large enough that the join is
-# the cost, small enough that no model-sized string or list is ever alive.
-_BLOCK_ROWS = 4096
-
-
-def write_table(path, header, formats, columns) -> None:
-    """Write a CSV: the header, then row i of the `columns` (lists, ranges
-    or 1-D arrays) with column j formatted by the %-format formats[j].
-
-    The bytes are write_rows' (csv.writer's).  Each row is one template
-    line, `,`-joined and ended by `\r\n`, joined a block of rows at a time.
-    A block with a field holding `,`, `"`, CR, LF or NUL (only a "%s" field
-    can) goes through csv.writer instead, which quotes that field.
-    """
-    line = ",".join(formats) + "\r\n"
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [column[start:start + _BLOCK_ROWS] for column in columns]
-            rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block)))
-            text = "".join(map(line.__mod__, rows))
-            if ('"' in text or "\0" in text or text.count(",") != len(rows) * (len(formats) - 1)
-                    or not text.count("\r") == text.count("\n") == len(rows)):
-                writer.writerows([fmt % value for fmt, value in zip(formats, row)]
-                                 for row in rows)
-            else:
-                fh.write(text)
-
-
 def write_json(path, obj) -> None:
     with replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)

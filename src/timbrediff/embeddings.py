@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .csvrows import read_columns, read_rows, replacing, write_table
+from .csvrows import read_columns, read_rows, replacing, write_rows
 from .frontend import AudioClip, Spectrogram, stft_bin_freqs, stft_power
 from .timbre import SILENCE_POWER_FLOOR, SilentClipError
 
@@ -182,7 +182,7 @@ def write_embeddings(path, clip_ids, vectors) -> None:
     with replacing(path, "wb") as fh:  # a failed sidecar keeps the old payload
         fh.write(_TDCE_HEADER.pack(TDCE_MAGIC, TDCE_VERSION, data.shape[1], len(data)))
         fh.write(data)
-        write_table(_ids_path(path), _IDS_HEADER, ("%d", "%s"), [range(len(data)), clip_ids])
+        write_rows(_ids_path(path), _IDS_HEADER, zip(range(len(data)), clip_ids))
 
 
 def read_tdce(path):

@@ -51,8 +51,14 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     clip_ids = [e.clip_id for e in embeddings]
     if clip_ids != [cid for cid, _ in timbre_rows]:
         raise ModelDirectoryError("embedding and timbre clip ids must align")
+    if len({e.vector.size for e in embeddings}) > 1:
+        raise ValueError("embeddings must all share one dimension")
     # Cast once, to the float32 the file holds, so no float64 copy is made.
-    vectors = np.array([e.vector for e in embeddings], "<f4") if embeddings else np.empty((0, 0))
+    # Beyond float32's range is inf, which write_embeddings names by row.
+    vectors = np.empty((0, 0))
+    if embeddings:
+        with np.errstate(over="ignore"):
+            vectors = np.array([e.vector for e in embeddings], "<f4")
     fields = attrgetter(*ATTRIBUTE_NAMES)   # a TimbreVector's values, as_array's order
     timbre = np.fromiter(chain.from_iterable(fields(vec) for _, vec in timbre_rows), np.float64,
                          N_ATTRIBUTES * len(timbre_rows)).reshape(-1, N_ATTRIBUTES)

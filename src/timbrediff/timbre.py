@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .csvrows import read_columns, read_rows, write_table
+from .csvrows import read_columns, read_rows, write_rows
 from .frontend import (
     ENVELOPE_MOD_HZ,
     AudioClip,
@@ -203,8 +203,8 @@ def write_timbre_csv(path, clip_ids, values) -> None:
     problem = _timbre_violation(values)
     if problem is not None:
         raise ValueError(f"{path}: row {problem[0] + 2}: {problem[1]}")
-    write_table(path, TIMBRE_CSV_HEADER, ("%s",) + ("%.9g",) * N_ATTRIBUTES,
-                [clip_ids, *values.T])
+    write_rows(path, TIMBRE_CSV_HEADER,
+               zip(clip_ids, *(map("%.9g".__mod__, column) for column in values.T.tolist())))
 
 
 def read_timbre_table(path):

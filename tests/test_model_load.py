@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timbrediff import csvrows, embeddings, timbre
+from timbrediff import embeddings, timbre
 from timbrediff.csvrows import read_columns, replacing, write_rows
 from timbrediff.embeddings import (
     _TDCE_HEADER,
@@ -213,16 +213,3 @@ def test_bulk_writers_match_row_wise_writers(tmp_path_factory, model):
     assert ref.embeddings.tobytes() == vectors.astype(np.float32).astype(np.float64).tobytes()
     nine_digits = [[float(f"{v:.9g}") for v in row] for row in values]
     assert ref.timbre_values.tobytes() == np.array(nine_digits).tobytes()
-
-
-def test_bulk_writers_match_row_wise_writers_across_blocks(tmp_path):
-    # One id that needs quoting, in the second of three blocks of rows.
-    ids = [f"clip_{i:05d}" for i in range(2 * csvrows._BLOCK_ROWS + 3)]
-    ids[csvrows._BLOCK_ROWS + 7] = 'a,"b"'
-    vectors, values = save(tmp_path / "new", ids)
-    _reference_write_embeddings(tmp_path / "embeddings.tdce",
-                                [Embedding(v, "spectral", cid) for v, cid in zip(vectors, ids)])
-    _reference_write_timbre_csv(tmp_path / "timbre.csv",
-                                [(cid, TimbreVector.from_array(v)) for cid, v in zip(ids, values)])
-    for name in ("embeddings.tdce", "embeddings.tdce.ids.csv", "timbre.csv"):
-        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / name).read_bytes(), name

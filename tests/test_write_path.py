@@ -109,16 +109,37 @@ def test_pipeline_leaves_no_temp_files(tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-# 1e300 is finite as float64 but not as the float32 the file holds.
+def save_vectors(model_dir, ids, vectors):
+    save_model(model_dir, [Embedding(v, "spectral", cid) for v, cid in zip(vectors, ids)],
+               [(cid, VECTOR) for cid in ids], NormalizationStats(np.zeros(2), np.ones(2)),
+               DistanceKind.EUCLIDEAN, k=1, t=0.1)
+
+
+# 1e300 is finite as float64 but not as the float32 the file holds; the
+# cast gives inf without an overflow warning, and the row is named.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("via", ["write_embeddings", "save_model"])
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300])
-def test_non_finite_embedding_row_fails_before_the_write(tmp_path, bad):
-    path = tmp_path / "emb.tdce"
-    write_embeddings(path, ["a", "b", "c"], np.ones((3, 2)))
+def test_non_finite_embedding_row_fails_before_the_write(tmp_path, bad, via):
+    if via == "save_model":
+        path = tmp_path / "embeddings.tdce"
+        write = lambda _, ids, vectors: save_vectors(tmp_path, ids, vectors)  # noqa: E731
+    else:
+        path, write = tmp_path / "emb.tdce", write_embeddings
+    write(path, ["a", "b", "c"], np.ones((3, 2)))
     before = snapshot(tmp_path)
     vectors = np.ones((3, 2))
     vectors[1, 0] = bad
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: embedding row 1 (clip 'b') is not finite")):
-        write_embeddings(path, ["a", "b", "c"], vectors)
+        write(path, ["a", "b", "c"], vectors)
     assert snapshot(tmp_path) == before
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_save_model_rejects_ragged_embeddings_before_the_write(tmp_path):
+    save_vectors(tmp_path, ["a", "b"], np.ones((2, 2)))
+    before = snapshot(tmp_path)
+    with pytest.raises(ValueError, match="^embeddings must all share one dimension$"):
+        save_vectors(tmp_path, ["a", "b"], [np.ones(2), np.ones(3)])
+    assert snapshot(tmp_path) == before
