@@ -69,7 +69,8 @@ _CLI_ERRORS = (WavError, ManifestError, GroundTruthError, CoverageError,
 # _analyse gives each worker process at least this many clips.  On a 2-core
 # host, a fresh stage's two workers beat serial analysis from 10-16
 # one-second 16 kHz clips with spectral features and from 30-60 with timbre
-# alone, and on 15 one-second 44.1 kHz stereo clips, which need resampling.
+# alone.  One-second 44.1 kHz stereo clips, which need resampling, break
+# even at about 12-20 clips.
 _MIN_CLIPS_PER_WORKER = 5
 
 
@@ -98,6 +99,21 @@ def _analyse_clip(path, provider):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return values, features
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: a daemon thread ends this worker within half a
+    second of its parent, the stage, going away.  A stage killed from
+    outside would otherwise leave its workers blocked forever."""
+    import threading
+    import time
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _workers(n_clips: int) -> int:
@@ -148,7 +164,8 @@ def _analyse(args, entries, provider=None):
         # BrokenProcessPool when a worker dies, where multiprocessing.Pool
         # would wait forever for the dead worker's results.
         fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_exit_with_parent,
+                                 initargs=(os.getpid(),)) as pool:
             chunksize = -(-len(paths) // (4 * workers))
             analysed = list(pool.map(analyse, paths, chunksize=chunksize))
     # Reshaped so that no clips still gives [0 x 5] and [0 x D].

@@ -5,6 +5,7 @@ import shutil
 import signal
 import struct
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -482,6 +483,60 @@ def test_a_killed_worker_fails_the_stage(tiny_dataset, tmp_path, monkeypatch, us
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# Where sleeping() records the pid of each worker that runs it.
+WORKER_PIDS = None
+
+
+def sleeping(path, provider):
+    (WORKER_PIDS / str(os.getpid())).touch()
+    time.sleep(60)
+
+
+def running(pid):
+    """Whether pid is a live process: not gone and not an unreaped zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat")
+def test_a_killed_stage_leaves_no_worker_behind(tiny_dataset, tmp_path, monkeypatch,
+                                                usable_cpus):
+    # The stage runs in a forked process, whose own forked workers inherit
+    # the sleeping _analyse_clip.  Once both workers are in it, the stage
+    # is killed as a deadline would kill it: its workers must follow.
+    import multiprocessing
+
+    usable_cpus(2)
+    monkeypatch.setattr(cli, "_analyse_clip", sleeping)
+    monkeypatch.setattr(sys.modules[__name__], "WORKER_PIDS", tmp_path / "pids")
+    WORKER_PIDS.mkdir()
+    stage = multiprocessing.get_context("fork").Process(target=run, args=(
+        "fit", "--manifest", tiny_dataset / "manifest.csv", "--audio-root", tiny_dataset,
+        "--provider", "timbre", "--k", "5", "--out", tmp_path / "m"))
+    stage.start()
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = [int(p.name) for p in WORKER_PIDS.iterdir()]
+        assert len(workers) == 2
+        os.kill(stage.pid, signal.SIGKILL)
+        stage.join()
+        deadline = time.monotonic() + 5
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+    finally:
+        for pid in [stage.pid, *workers]:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+        stage.join()
 
 
 def test_fit_runs_one_stft_per_clip(tiny_dataset, tmp_path, monkeypatch, usable_cpus):

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from timbrediff.frontend import (
     bark_band_edges,
     bark_band_powers,
     _kaiser_taper,
+    _resample_table,
     load_wav,
     resample,
     save_wav,
@@ -205,6 +207,50 @@ def _reference_resample(clip: AudioClip, target_rate: int) -> AudioClip:
     return AudioClip(out, target_rate)
 
 
+def _gathered_resample(clip: AudioClip, target_rate: int) -> AudioClip:
+    """Oracle for resample's exact bits: its earlier body, which built the
+    table of the phases used on every call and gathered 65,536 outputs at a
+    time.  resample must match it bit for bit.
+    """
+    if int(target_rate) <= 0:
+        raise ValueError("target_rate must be positive")
+    target_rate = int(target_rate)
+    if target_rate == clip.sample_rate:
+        return clip
+
+    src = clip.samples
+    n_out = max(1, int(round(src.size * target_rate / clip.sample_rate)))
+    g = math.gcd(target_rate, clip.sample_rate)
+    up, down = target_rate // g, clip.sample_rate // g
+    cutoff = min(1.0, target_rate / clip.sample_rate)
+    taps = np.arange(-_RESAMPLE_HALF_TAPS + 1, _RESAMPLE_HALF_TAPS + 1)
+    padded = np.concatenate([
+        np.zeros(_RESAMPLE_HALF_TAPS), src, np.zeros(_RESAMPLE_HALF_TAPS),
+    ])
+
+    # Row r serves every output i with i % up == r: phase (r * down) % up.
+    frac = (np.arange(min(up, n_out), dtype=np.int64) * down % up) / up
+    offsets = taps[None, :] - frac[:, None]
+    table = cutoff * np.sinc(cutoff * offsets)
+    table *= _kaiser_taper(offsets / _RESAMPLE_HALF_TAPS)
+    table /= table.sum(axis=1, keepdims=True)  # unity DC gain per phase
+
+    # windows[b + 1] = padded[b + 1 : b + 65]: input samples b - 31 .. b + 32.
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps.size)
+    out = np.empty(n_out)
+    chunk = 65536
+    for start in range(0, n_out, chunk):
+        idx_out = np.arange(start, min(start + chunk, n_out), dtype=np.int64)
+        gathered = windows[idx_out * down // up + 1]
+        out[idx_out] = np.einsum("ij,ij->i", gathered, table[idx_out % up])
+    return AudioClip(out, target_rate)
+
+
+def assert_same_bits(out, ref):
+    assert out.shape == ref.shape
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
 def _uniform_clip(rate, n_samples, seed):
     rng = np.random.default_rng(seed)
     return AudioClip(rng.uniform(-1.0, 1.0, n_samples), rate)
@@ -226,6 +272,7 @@ class TestResampleMatchesReference:
         clip = _uniform_clip(source_rate, int(round(duration * source_rate)),
                              seed=source_rate + target_rate)
         out = resample(clip, target_rate).samples
+        assert_same_bits(out, _gathered_resample(clip, target_rate).samples)
         ref = _reference_resample(clip, target_rate).samples
         assert out.size == ref.size
         assert np.abs(out - ref).max() <= 1e-9
@@ -244,6 +291,7 @@ class TestResampleMatchesReference:
             return
         n_out = max(1, round(n_samples * target_rate / source_rate))
         assert out.size == n_out
+        assert_same_bits(out, _gathered_resample(clip, target_rate).samples)
         ref = _reference_resample(clip, target_rate).samples
         # The reference's float floor(i * step) can land one below an exact
         # integer position i * M / L (37120 -> 16000 at i = 25: 25 * 2.32);
@@ -257,6 +305,40 @@ class TestResampleMatchesReference:
         diff = np.abs(out - ref)
         assert diff[same].max() <= 1e-9
         assert np.all(diff[~same] <= 1e-4 * np.abs(clip.samples).max())
+
+    def test_cached_tables_are_reused_and_never_mutated(self):
+        # Clips of two rate pairs in turn, of different lengths: each call
+        # after a pair's first reuses its table, and the bits still match.
+        reduced = {(44100, 16000): (160, 441), (44101, 16000): (16000, 44101)}
+        for source_rate, target_rate in reduced:
+            resample(_uniform_clip(source_rate, 100, 0), target_rate)
+        tables = {pair: _resample_table(*ratio) for pair, ratio in reduced.items()}
+        before = {pair: table.copy() for pair, table in tables.items()}
+        hits = _resample_table.cache_info().hits
+        for seed, n_samples in enumerate([5, 44100, 300, 20000, 1, 7000]):
+            source_rate, target_rate = list(reduced)[seed % 2]
+            clip = _uniform_clip(source_rate, n_samples, seed)
+            assert_same_bits(resample(clip, target_rate).samples,
+                             _gathered_resample(clip, target_rate).samples)
+        assert _resample_table.cache_info().hits == hits + 6
+        for pair, table in tables.items():
+            assert not table.flags.writeable
+            assert_same_bits(table, before[pair])
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_peak_memory_stays_near_the_clip(self):
+        # A 10-s 44.1 kHz clip: the gathered windows stay block-sized, so
+        # the peak is about the padded copy plus the output.
+        clip = _uniform_clip(44100, 441000, 0)
+        resample(_uniform_clip(44100, 100, 0), 16000)   # the table, cached
+        tracemalloc.start()
+        try:
+            resample(clip, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * clip.samples.nbytes
 
 
 class TestStftPower:
