@@ -240,7 +240,8 @@ def cmd_fit(args) -> int:
 def cmd_score(args) -> int:
     ref, config = load_model(args.model)
     if args.distance:
-        ref = replace(ref, distance_kind=DistanceKind.parse(args.distance))
+        ref = replace(ref, distance_kind=DistanceKind.parse(args.distance),
+                      embeddings_checked=True)
     if args.k is not None:      # an override fails before any clip is analysed
         check_k(args.k, ref.size)
     k = args.k if args.k is not None else config["k"]

@@ -7,7 +7,7 @@ ranks each timbre metric against the neighbors' values to decide whether
 the attribute increased (+1), decreased (-1) or stayed unchanged (0).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -45,8 +45,11 @@ class ReferenceSet:
     provider_id: str
     distance_kind: DistanceKind
     normalization: NormalizationStats
+    # True when the caller has already found every embedding finite, as
+    # read_tdce does, so that a loaded model is scanned once.
+    embeddings_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, embeddings_checked):
         emb = np.asarray(self.embeddings, dtype=np.float64)
         tim = np.asarray(self.timbre_values, dtype=np.float64)
         ids = tuple(self.clip_ids)
@@ -56,7 +59,7 @@ class ReferenceSet:
             raise ValueError("timbre_values must be [N x 5], aligned with embeddings")
         if len(ids) != emb.shape[0]:
             raise ValueError("clip_ids must align with embeddings")
-        if not (np.all(np.isfinite(emb)) and np.all(np.isfinite(tim))):
+        if not ((embeddings_checked or np.isfinite(emb).all()) and np.isfinite(tim).all()):
             raise ValueError("reference data must be finite")
         object.__setattr__(self, "embeddings", emb)
         object.__setattr__(self, "timbre_values", tim)

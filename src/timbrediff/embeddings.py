@@ -31,6 +31,7 @@ TDCE_MAGIC = b"TDCE"
 TDCE_VERSION = 1
 _TDCE_HEADER = struct.Struct("<4sIII")  # magic, version, dim, count
 _IDS_HEADER = ["row", "clip_id"]
+_WRITE_BLOCK_ROWS = 4096        # about 1.3 MB of float32 at 80 dims
 
 
 class TdceError(ValueError):
@@ -161,28 +162,36 @@ def _ids_path(path) -> str:
 
 
 def write_embeddings(path, clip_ids, vectors) -> None:
-    """Write clip ids and their [N x D] vectors to a TDCE file plus its
-    `<file>.ids.csv` sidecar.  The vectors are cast to float32 once; a row
-    that is not finite then fails as read_tdce would name it, before either
-    file is touched.
+    """Write clip ids and their vectors, an [N x D] array or N rows of D
+    values, to a TDCE file plus its `<file>.ids.csv` sidecar.
+
+    Rows are cast to float32, checked and written _WRITE_BLOCK_ROWS at a
+    time into the file's `.tmp`, so no [N x D] copy is made.  A row that is
+    not finite fails as read_tdce would name it, and both old files stay.
 
     Layout: magic `TDCE`, u32 version=1, u32 dim, u32 count, then
     count x dim float32 little-endian, row-major.
     """
-    data = np.asarray(vectors)
-    if data.ndim != 2 or len(data) != len(clip_ids):
-        raise ValueError(f"{path}: expected {len(clip_ids)} embedding rows of one "
-                         f"dimension, got shape {data.shape}")
-    with np.errstate(over="ignore"):    # beyond float32's range is inf, caught below
-        data = data.astype("<f4", order="C", copy=False)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: embedding row {bad[0]} (clip {clip_ids[bad[0]]!r}) "
-                         "is not finite")
+    count, dim = len(clip_ids), np.shape(vectors[:1])[-1]    # 0 for an empty list
+    if len(vectors) != count:
+        raise ValueError(f"{path}: expected {count} embedding rows, got {len(vectors)}")
     with replacing(path, "wb") as fh:  # a failed sidecar keeps the old payload
-        fh.write(_TDCE_HEADER.pack(TDCE_MAGIC, TDCE_VERSION, data.shape[1], len(data)))
-        fh.write(data)
-        write_rows(_ids_path(path), _IDS_HEADER, zip(range(len(data)), clip_ids))
+        fh.write(_TDCE_HEADER.pack(TDCE_MAGIC, TDCE_VERSION, dim, count))
+        for start in range(0, count, _WRITE_BLOCK_ROWS):
+            with np.errstate(over="ignore"):    # beyond float32's range is inf, caught below
+                block = np.ascontiguousarray(vectors[start:start + _WRITE_BLOCK_ROWS], "<f4")
+            if block.ndim != 2 or block.shape[1] != dim:
+                raise ValueError(f"{path}: embedding rows from {start} are not "
+                                 f"{dim}-dimensional, got shape {block.shape}")
+            # A row's float64 sum is finite exactly when each of its float32s is.
+            bad = np.flatnonzero(~np.isfinite(block.sum(axis=1, dtype=np.float64)))
+            if bad.size:
+                row = start + bad[0]
+                raise ValueError(f"{path}: embedding row {row} (clip {clip_ids[row]!r}) "
+                                 "is not finite")
+            fh.write(block)
+            del block           # before the next block is cast
+        write_rows(_ids_path(path), _IDS_HEADER, zip(range(count), clip_ids))
 
 
 def read_tdce(path):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvrows import write_json
+from .csvrows import replacing, write_json
 from .detector import ReferenceSet, check_t
 from .embeddings import (
     EXTERNAL_PROVIDER,
@@ -25,7 +25,13 @@ from .embeddings import (
     read_tdce,
     write_embeddings,
 )
-from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES, read_timbre_table, write_timbre_csv
+from .timbre import (
+    ATTRIBUTE_NAMES,
+    N_ATTRIBUTES,
+    check_timbre_table,
+    read_timbre_table,
+    write_timbre_csv,
+)
 
 CONFIG_NAME = "config.json"
 EMBEDDINGS_NAME = "embeddings.tdce"
@@ -43,7 +49,11 @@ class ModelDirectoryError(ValueError):
 def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
                k: int, t: float) -> None:
     """Persist a fitted model; timbre_rows is an ordered (clip_id, vector) list.
-    The objects become one [N x D] and one [N x 5] array for the writers."""
+
+    Every check runs before the first file is replaced: the ids, the
+    dimension and the timbre rows here, and each block of float32 rows as
+    write_embeddings streams it.  A failed save leaves the old model whole.
+    """
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
     embeddings = list(embeddings)
@@ -51,23 +61,15 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     clip_ids = [e.clip_id for e in embeddings]
     if clip_ids != [cid for cid, _ in timbre_rows]:
         raise ModelDirectoryError("embedding and timbre clip ids must align")
-    if len({e.vector.size for e in embeddings}) > 1:
+    dims = {e.vector.size for e in embeddings}
+    if len(dims) > 1:
         raise ValueError("embeddings must all share one dimension")
-    # Cast once, to the float32 the file holds, so no float64 copy is made.
-    # Beyond float32's range is inf, which write_embeddings names by row.
-    vectors = np.empty((0, 0))
-    if embeddings:
-        with np.errstate(over="ignore"):
-            vectors = np.array([e.vector for e in embeddings], "<f4")
     fields = attrgetter(*ATTRIBUTE_NAMES)   # a TimbreVector's values, as_array's order
     timbre = np.fromiter(chain.from_iterable(fields(vec) for _, vec in timbre_rows), np.float64,
                          N_ATTRIBUTES * len(timbre_rows)).reshape(-1, N_ATTRIBUTES)
-
-    write_embeddings(model_dir / EMBEDDINGS_NAME, clip_ids, vectors)
-    write_timbre_csv(model_dir / TIMBRE_NAME, clip_ids, timbre)
-    write_json(model_dir / NORMALIZATION_NAME, {"mean": normalization.mean.tolist(),
-                                                "std": normalization.std.tolist()})
-    write_json(model_dir / CONFIG_NAME, {
+    check_timbre_table(model_dir / TIMBRE_NAME, clip_ids, timbre)
+    vectors = [e.vector for e in embeddings]
+    config = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "provider": embeddings[0].provider_id if embeddings else "",
@@ -75,10 +77,23 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
         "k": int(k),
         "t": float(t),
         "count": len(clip_ids),
-        "dim": vectors.shape[1],
+        "dim": dims.pop() if dims else 0,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "tool_version": __version__,
-    })
+    }
+    del embeddings, timbre_rows     # our copies: only ids, vectors and blocks stay
+
+    # timbre.csv goes first, into the `.tmp` that replacing renames over it
+    # only once the embeddings are in: a bad block leaves the old model
+    # whole, and the timbre array is freed before the blocks are cast.
+    with replacing(model_dir / TIMBRE_NAME) as staged:
+        staged.close()
+        write_timbre_csv(staged.name, clip_ids, timbre)
+        del timbre
+        write_embeddings(model_dir / EMBEDDINGS_NAME, clip_ids, vectors)
+    write_json(model_dir / NORMALIZATION_NAME, {"mean": normalization.mean.tolist(),
+                                                "std": normalization.std.tolist()})
+    write_json(model_dir / CONFIG_NAME, config)
 
 
 def load_model(model_dir):
@@ -134,4 +149,4 @@ def load_model(model_dir):
         raise ModelDirectoryError(f"{model_dir / TIMBRE_NAME}: row {row + 2}: clip {found!r} "
                                   f"where {EMBEDDINGS_NAME} has {want!r}")
     return ReferenceSet(vectors, timbre_values, tuple(ids), config["provider"],
-                        distance, normalization), config
+                        distance, normalization, embeddings_checked=True), config

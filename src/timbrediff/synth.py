@@ -6,7 +6,6 @@ an injected tone).  Every clip's RNG seed derives from the master seed and
 the clip id, so regeneration is byte-identical.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,11 +124,13 @@ class SynthDataset:
 
 def clip_seed(master_seed: int, clip_id: str) -> int:
     """Per-clip seed: master seed XORed with a stable 64-bit hash of the id."""
+    import hashlib              # here, so that importing the package skips it
+
     digest = hashlib.blake2b(clip_id.encode("utf-8"), digest_size=8).digest()
     return (int(master_seed) ^ int.from_bytes(digest, "little")) & (2 ** 64 - 1)
 
 
-def _colored_noise(rng: np.random.Generator, n: int, tilt_db_per_octave: float,
+def _colored_noise(rng: "np.random.Generator", n: int, tilt_db_per_octave: float,
                    rate: int) -> np.ndarray:
     """Unit-RMS Gaussian noise with a power-law spectral tilt."""
     spectrum = np.fft.rfft(rng.standard_normal(n))

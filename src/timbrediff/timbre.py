@@ -192,10 +192,9 @@ def compute_timbre_vector(clip: AudioClip, spec: Spectrogram = None) -> TimbreVe
 # CSV export
 # ---------------------------------------------------------------------------
 
-def write_timbre_csv(path, clip_ids, values) -> None:
-    """Write clip ids and their [N x 5] values, checked as TimbreVector;
-    values keep 9 significant digits.  A bad row fails as read_timbre_table
-    would name it, before the file is touched."""
+def check_timbre_table(path, clip_ids, values) -> np.ndarray:
+    """[N x 5] float64 values for write_timbre_csv, checked as TimbreVector;
+    a bad row fails as read_timbre_table would name it in `path`."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (len(clip_ids), N_ATTRIBUTES):
         raise ValueError(f"{path}: expected [{len(clip_ids)} x {N_ATTRIBUTES}] timbre values, "
@@ -203,8 +202,15 @@ def write_timbre_csv(path, clip_ids, values) -> None:
     problem = _timbre_violation(values)
     if problem is not None:
         raise ValueError(f"{path}: row {problem[0] + 2}: {problem[1]}")
+    return values
+
+
+def write_timbre_csv(path, clip_ids, values) -> None:
+    """Write clip ids and their [N x 5] values, checked by check_timbre_table
+    before the file is touched; values keep 9 significant digits."""
+    values = check_timbre_table(path, clip_ids, values)
     write_rows(path, TIMBRE_CSV_HEADER,
-               zip(clip_ids, *(map("%.9g".__mod__, column) for column in values.T.tolist())))
+               zip(clip_ids, *(map("%.9g".__mod__, column) for column in values.T)))
 
 
 def read_timbre_table(path):

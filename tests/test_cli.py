@@ -4,6 +4,7 @@ import re
 import shutil
 import signal
 import struct
+import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import timbrediff
 from timbrediff import cli, frontend
 from timbrediff.cli import main
 from timbrediff.dataset import load_manifest
@@ -767,3 +769,16 @@ def write_eval_inputs(root, result_rows):
         "boominess_score,brightness_score,depth_score,sharpness_label,"
         "roughness_label,boominess_label,brightness_label,depth_label\n"
         + result_rows)
+
+
+def test_importing_the_cli_loads_neither_hashlib_nor_numpy_random():
+    # Measured against `import numpy` alone, which loads numpy.random itself
+    # in some numpy versions.
+    code = ("import sys, numpy; before = set(sys.modules); import timbrediff.cli; "
+            "print(sorted({'hashlib', 'numpy.random'} & (set(sys.modules) - before)))")
+    src = str(Path(timbrediff.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

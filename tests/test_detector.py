@@ -58,6 +58,17 @@ def knn_one(ref, query, k):
     return indices[0], distances[0]
 
 
+class TestReferenceSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["embeddings", "timbre"])
+    def test_non_finite_rows_are_rejected(self, bad, where):
+        points = np.zeros((3, 2))
+        timbre = np.tile([1.0, 0.1, 0.5, 1000.0, 0.5], (3, 1))
+        (points if where == "embeddings" else timbre)[1, 0] = bad
+        with pytest.raises(ValueError, match="^reference data must be finite$"):
+            make_ref(points, timbre)
+
+
 class TestKnn:
     def test_exact_match(self):
         ref = make_ref([[0.0], [1.0], [10.0]])

@@ -170,7 +170,7 @@ class TestEmbedding:
             Embedding(vector, "external")
 
     def test_values_left_to_whole_array_checks(self):
-        # write_embeddings, knn and read_tdce each check a whole array.
+        # write_embeddings (a block of rows at a time), knn and read_tdce check them.
         assert np.isnan(Embedding(np.array([1.0, np.nan]), "external").vector[1])
 
 

@@ -1,7 +1,7 @@
 """load_model reads a model's CSVs in bulk where it can and row by row where
 it must; either way it gives the same ids, the same bits and the same errors.
-save_model writes them a whole array at a time, with the bytes of the
-row-wise writers it replaced."""
+save_model writes them with the bytes of the row-wise writers it replaced,
+the embeddings one block of float32 rows at a time."""
 
 import re
 import shutil
@@ -17,12 +17,14 @@ from timbrediff import embeddings, timbre
 from timbrediff.csvrows import read_columns, replacing, write_rows
 from timbrediff.embeddings import (
     _TDCE_HEADER,
+    _WRITE_BLOCK_ROWS,
     TDCE_MAGIC,
     TDCE_VERSION,
     DistanceKind,
     Embedding,
     NormalizationStats,
     TdceError,
+    write_embeddings,
 )
 from timbrediff.store import load_model, save_model
 from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector
@@ -92,6 +94,14 @@ def test_bulk_load_equals_row_wise_to_the_bit(bulk_model):
         reference = loaded(bulk_model)
     assert loaded(bulk_model) == reference
     assert reference[0] == tuple(f"clip_{i:05d}" for i in range(BULK_ROWS))
+
+
+def test_load_model_scans_the_embeddings_once(bulk_model):
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+        ref, _ = load_model(bulk_model)
+    scans = [call for call in isfinite.call_args_list
+             if np.shape(call.args[0]) == ref.embeddings.shape]
+    assert len(scans) == 1
 
 
 def edit_line(path, number, edit):
@@ -213,3 +223,30 @@ def test_bulk_writers_match_row_wise_writers(tmp_path_factory, model):
     assert ref.embeddings.tobytes() == vectors.astype(np.float32).astype(np.float64).tobytes()
     nine_digits = [[float(f"{v:.9g}") for v in row] for row in values]
     assert ref.timbre_values.tobytes() == np.array(nine_digits).tobytes()
+
+
+def test_block_writes_match_row_wise_writers(tmp_path):
+    count = 2 * _WRITE_BLOCK_ROWS + 1
+    ids = [f"clip_{i:05d}" for i in range(count)]
+    ids[_WRITE_BLOCK_ROWS + 7] = 'say "hi", twice'      # quoted, in the middle block
+    rng = np.random.default_rng(3)
+    vectors = rng.standard_normal((count, DIM)) * 1e3
+    values = rng.uniform(0.01, 1.0, (count, 5))
+    embeddings = [Embedding(v, "spectral", cid) for v, cid in zip(vectors, ids)]
+    rows = [(cid, TimbreVector.from_array(v)) for cid, v in zip(ids, values)]
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    _reference_write_embeddings(old / "embeddings.tdce", embeddings)
+    _reference_write_timbre_csv(old / "timbre.csv", rows)
+    save_model(new, embeddings, rows, NormalizationStats(np.zeros(DIM), np.ones(DIM)),
+               DistanceKind.EUCLIDEAN, k=5, t=0.25)
+    for name in ("embeddings.tdce", "embeddings.tdce.ids.csv", "timbre.csv"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+    # An [N x D] array takes the same path as the rows save_model passes.
+    write_embeddings(tmp_path / "array.tdce", ids, vectors)
+    for suffix in ("", ".ids.csv"):
+        assert ((tmp_path / f"array.tdce{suffix}").read_bytes()
+                == (old / f"embeddings.tdce{suffix}").read_bytes())
+    ref, _ = load_model(new)
+    assert ref.clip_ids == tuple(ids)
+    assert np.array_equal(ref.embeddings, vectors.astype(np.float32))
