@@ -85,6 +85,14 @@ def _stored_precision(values: np.ndarray) -> np.ndarray:
     return np.array([float(f"{v:.9g}") for v in values.flat]).reshape(values.shape)
 
 
+def _check_option(option: str, check, *values) -> None:
+    """check(*values), its ValueError prefixed with the option's name."""
+    try:
+        check(*values)
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _analyse_clip(path, provider):
     """Decode and analyse one clip: its 5 timbre values and, for the
     spectral provider, its raw spectral features (None otherwise).  A
@@ -183,19 +191,26 @@ def _analyse(args, entries, provider=None):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    # Every count and cause is checked before the first file is written.
     conditions, causes = default_benchmark_specs()
-    if args.conditions > len(conditions):
-        raise ValueError(
-            f"--conditions must be <= {len(conditions)} (the default specs)"
-        )
+    if not 1 <= args.conditions <= len(conditions):
+        raise ValueError(f"--conditions must lie in 1..{len(conditions)} (the default specs), "
+                         f"got {args.conditions}")
     conditions = conditions[: args.conditions]
+    for option, count in (("--train-per-cond", args.train_per_cond),
+                          ("--test-per-cond", args.test_per_cond)):
+        if count < 0:
+            raise ValueError(f"{option} must be >= 0, got {count}")
     if args.causes != "default":
         wanted = args.causes.split(",")
         by_id = {c.cause_id: c for c in causes}
         unknown = [w for w in wanted if w not in by_id]
         if unknown:
-            raise ValueError(f"unknown cause ids: {unknown}; "
+            raise ValueError(f"--causes: unknown cause ids: {unknown}; "
                              f"available: {sorted(by_id)}")
+        repeated = sorted({w for w in wanted if wanted.count(w) > 1})
+        if repeated:
+            raise ValueError(f"--causes: repeated cause ids: {repeated}")
         causes = tuple(by_id[w] for w in wanted)
     dataset = generate_dataset(conditions, causes, args.train_per_cond,
                                args.test_per_cond, args.seed, args.out)
@@ -213,12 +228,8 @@ def cmd_fit(args) -> int:
     if not train:
         raise ManifestError("manifest has no training rows")
     # Settings that score would reject fail here, before any clip is decoded.
-    for option, check in (("--k", lambda: check_k(args.k, len(train))),
-                          ("--t", lambda: check_t(args.t))):
-        try:
-            check()
-        except ValueError as exc:
-            raise ValueError(f"{option}: {exc}") from None
+    _check_option("--k", check_k, args.k, len(train))
+    _check_option("--t", check_t, args.t)
     clip_ids, timbre, raw = _analyse(args, train, args.provider)
     stats = fit_normalization(raw)
     embeddings = [Embedding(z, args.provider, cid)
@@ -272,6 +283,7 @@ def cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_gt(args) -> int:
+    _check_option("--t-prime", check_t, args.t_prime)     # before any clip is decoded
     entries = load_manifest(args.manifest)
     needed = [e for e in entries if e.split == "train" or e.state == "anomalous"]
     clip_ids, timbre, _ = _analyse(args, needed)

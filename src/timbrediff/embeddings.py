@@ -95,7 +95,7 @@ def fit_normalization(data) -> NormalizationStats:
 
 
 @functools.lru_cache(maxsize=4)
-def mel_filterbank(sample_rate: int, frame_len: int) -> np.ndarray:
+def mel_filterbank(sample_rate: int) -> np.ndarray:
     """Triangular unit-peak mel filters over stft_power's bins, [bands x bins], read-only."""
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -103,7 +103,7 @@ def mel_filterbank(sample_rate: int, frame_len: int) -> np.ndarray:
     def from_mel(m):
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-    bin_freqs = stft_bin_freqs(sample_rate, frame_len)
+    bin_freqs = stft_bin_freqs(sample_rate)
     points = from_mel(np.linspace(to_mel(0.0), to_mel(MEL_FMAX_HZ), MEL_BANDS + 2))
     bank = np.zeros((MEL_BANDS, bin_freqs.size))
     for band in range(MEL_BANDS):
@@ -120,7 +120,7 @@ def spectral_features(clip: AudioClip, spec: Spectrogram = None) -> np.ndarray:
     spec = stft_power(clip) if spec is None else spec
     if spec.power.sum() <= SILENCE_POWER_FLOOR:
         raise SilentClipError("silent input: total framed power below threshold")
-    bank = mel_filterbank(clip.sample_rate, 2 * (spec.bin_freqs.size - 1))
+    bank = mel_filterbank(spec.sample_rate)
     log_mel = np.log(np.maximum(spec.power @ bank.T, LOG_FLOOR))
     return np.concatenate([log_mel.mean(axis=0), log_mel.std(axis=0)])
 

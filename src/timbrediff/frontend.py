@@ -30,8 +30,9 @@ BARK_EDGES_HZ = np.array([
 # the top of roughness's 30-150 Hz band.
 ENVELOPE_MOD_HZ = 150.0
 
-DEFAULT_FRAME_LEN = 1024
-DEFAULT_HOP = 512
+# stft_power's fixed grid: frames of 1024 samples, 512 apart, so 513 bins.
+FRAME_LEN = 1024
+HOP = 512
 
 _PCM16_SCALE = 32768.0
 _RESAMPLE_HALF_TAPS = 32  # 64-tap windowed-sinc kernel
@@ -87,27 +88,26 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """One-sided power spectrogram: power[frame, bin], bin_freqs in Hz."""
+    """One-sided power spectrogram on stft_power's grid: power[frame, bin]
+    over FRAME_LEN // 2 + 1 bins, bin i at i * sample_rate / FRAME_LEN Hz."""
 
     power: np.ndarray
-    bin_freqs: np.ndarray
-    frame_rate: float
+    sample_rate: int
 
     def __post_init__(self):
         power = np.asarray(self.power, dtype=np.float64)
-        freqs = np.asarray(self.bin_freqs, dtype=np.float64)
-        if power.ndim != 2 or power.shape[1] != freqs.size:
-            raise ValueError("power must be [frames x bins] matching bin_freqs")
+        if power.ndim != 2 or power.shape[1] != FRAME_LEN // 2 + 1:
+            raise ValueError(f"power must be [frames x {FRAME_LEN // 2 + 1}] bins")
         if not np.all(np.isfinite(power)) or np.any(power < 0):
             raise ValueError("power values must be finite and nonnegative")
-        if freqs.size < 2 or np.any(np.diff(freqs) <= 0) or freqs[0] != 0:
-            raise ValueError("bin_freqs must increase strictly from 0")
+        if int(self.sample_rate) <= 0:
+            raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "bin_freqs", freqs)
+        object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     @property
-    def nyquist(self) -> float:
-        return float(self.bin_freqs[-1])
+    def bin_freqs(self) -> np.ndarray:
+        return stft_bin_freqs(self.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -273,32 +273,29 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 # Spectral analysis
 # ---------------------------------------------------------------------------
 
-def stft_power(clip: AudioClip, frame_len: int = DEFAULT_FRAME_LEN,
-               hop: int = DEFAULT_HOP) -> Spectrogram:
-    """One-sided Hann-windowed power spectrogram.
-
-    bin_freqs[i] = i * sample_rate / frame_len; power is the raw squared
-    magnitude of the one-sided FFT (no window-gain compensation).
+def stft_power(clip: AudioClip) -> Spectrogram:
+    """One-sided Hann-windowed power spectrogram of FRAME_LEN-sample frames
+    HOP apart: the raw squared magnitude of each frame's one-sided FFT (no
+    window-gain compensation).
     """
-    if frame_len < 2 or frame_len & (frame_len - 1):
-        raise ValueError("frame_len must be a power of two")
-    if not 1 <= hop <= frame_len:
-        raise ValueError("hop must satisfy 1 <= hop <= frame_len")
-    if clip.samples.size < frame_len:
+    if clip.samples.size < FRAME_LEN:
         raise ValueError(
-            f"clip has {clip.samples.size} samples, shorter than frame_len {frame_len}"
+            f"clip has {clip.samples.size} samples, shorter than one {FRAME_LEN}-sample frame"
         )
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame_len) / frame_len)
-    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, frame_len)[::hop]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LEN) / FRAME_LEN)
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, FRAME_LEN)[::HOP]
     spectrum = np.fft.rfft(frames * window, axis=1)
     power = spectrum.real ** 2 + spectrum.imag ** 2
-    return Spectrogram(power, stft_bin_freqs(clip.sample_rate, frame_len),
-                       clip.sample_rate / hop)
+    return Spectrogram(power, clip.sample_rate)
 
 
-def stft_bin_freqs(sample_rate: int, frame_len: int) -> np.ndarray:
-    """stft_power's bin_freqs: i * sample_rate / frame_len, i = 0 .. frame_len / 2."""
-    return np.arange(frame_len // 2 + 1) * (sample_rate / frame_len)
+@functools.lru_cache(maxsize=64)
+def stft_bin_freqs(sample_rate: int) -> np.ndarray:
+    """stft_power's bin frequencies, i * sample_rate / FRAME_LEN for
+    i = 0 .. FRAME_LEN / 2; cached per rate, read-only."""
+    freqs = np.arange(FRAME_LEN // 2 + 1) * (sample_rate / FRAME_LEN)
+    freqs.flags.writeable = False
+    return freqs
 
 
 def bark_band_edges(sample_rate: int) -> list:
@@ -317,13 +314,12 @@ def bark_band_edges(sample_rate: int) -> list:
 
 
 @functools.lru_cache(maxsize=64)
-def _bark_bins(bin_freqs: bytes) -> tuple:
+def _bark_bins(sample_rate: int) -> tuple:
     """bark_band_powers' band count and the (band, first, stop) bin range of
-    each band holding bins, for the float64 bin frequencies in bin_freqs."""
-    freqs = np.frombuffer(bin_freqs)
-    n_bands = len(bark_band_edges(int(round(2 * freqs[-1]))))
+    each band holding bins, on stft_power's grid at sample_rate."""
+    n_bands = len(bark_band_edges(sample_rate))
     # Sorted frequencies give each band one contiguous run of bins.
-    band_index = np.searchsorted(BARK_EDGES_HZ, freqs, side="right") - 1
+    band_index = np.searchsorted(BARK_EDGES_HZ, stft_bin_freqs(sample_rate), side="right") - 1
     ranges = []
     for band in range(n_bands):
         members = np.flatnonzero(band_index == band)
@@ -339,7 +335,7 @@ def bark_band_powers(spec: Spectrogram) -> np.ndarray:
     exactly Nyquist joins the band containing it.  Bins below the first
     edge (20 Hz) are excluded, which rules out DC.
     """
-    n_bands, ranges = _bark_bins(spec.bin_freqs.tobytes())
+    n_bands, ranges = _bark_bins(spec.sample_rate)
     out = np.zeros((spec.power.shape[0], n_bands))
     for band, first, stop in ranges:
         # Averaged over a Fortran-ordered copy, the layout a boolean-mask
@@ -350,7 +346,8 @@ def bark_band_powers(spec: Spectrogram) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _envelope_layout(sample_rate: int, n: int, band_edges: tuple) -> tuple:
-    """band_envelopes' (first, stop, m) per band, for n samples at sample_rate."""
+    """band_envelopes' groups for n samples at sample_rate, in ascending m:
+    (m, read-only band indices, (first, stop) bins per band)."""
     nyquist = sample_rate / 2.0
     for lo, hi in band_edges:
         if not 0 < lo < hi or hi > nyquist:
@@ -366,12 +363,18 @@ def _envelope_layout(sample_rate: int, n: int, band_edges: tuple) -> tuple:
             raise EmptyBandError(f"band {lo}-{hi} Hz contains no spectral bins")
         m = 1 << int(max(8 * (stop - first), 2 * (k_hi + 1), 512) - 1).bit_length()
         bands.append((first, stop, min(m, n)))
-    return tuple(bands)
+    groups = []
+    for m in sorted({m for _, _, m in bands}):
+        members = np.array([i for i, band in enumerate(bands) if band[2] == m])
+        members.flags.writeable = False
+        groups.append((m, members, tuple(bands[i][:2] for i in members)))
+    return tuple(groups)
 
 
 def band_envelopes(clip: AudioClip, band_edges) -> list:
-    """Analytic-signal magnitude envelopes of FFT-isolated bands: one 1-D
-    array per band, each of its own length m.
+    """Analytic-signal magnitude envelopes of FFT-isolated bands, as
+    (band indices, [bands x m] envelopes) groups in ascending m: every band
+    of band_edges sits in exactly one group, rows in band order.
 
     Per band the one-sided (real-input) spectrum's bins in [lo, hi), one
     contiguous range of `width` bins, are doubled to form the band's
@@ -387,24 +390,20 @@ def band_envelopes(clip: AudioClip, band_edges) -> list:
     An envelope's spectrum keeps bins 1/T Hz apart at any m, so the second
     term keeps every bin up to ENVELOPE_MOD_HZ; the first keeps small the
     aliasing of the magnitude, which is not band-limited.  At m = n the
-    bins stay in place and the envelope is the full-length one.  Bands
-    that share an m go through one inverse FFT.
+    bins stay in place and the envelope is the full-length one.  A group's
+    bands go through one inverse FFT.
     """
     n = clip.samples.size
-    bands = _envelope_layout(clip.sample_rate, n, tuple(map(tuple, band_edges)))
+    groups = _envelope_layout(clip.sample_rate, n, tuple(map(tuple, band_edges)))
     doubled = 2 * np.fft.rfft(clip.samples)
     if n % 2 == 0:
         doubled[n // 2] /= 2                       # the even-n Nyquist bin
 
-    envelopes = [None] * len(bands)
-    for m in {m for _, _, m in bands}:
-        rows = [i for i, (_, _, band_m) in enumerate(bands) if band_m == m]
-        shifted = np.zeros((len(rows), m), dtype=complex)
-        for row, i in zip(shifted, rows):
-            first, stop, _ = bands[i]
+    out = []
+    for m, members, bins in groups:
+        shifted = np.zeros((len(members), m), dtype=complex)
+        for row, (first, stop) in zip(shifted, bins):
             shift = first if m < n else 0
             row[first - shift:stop - shift] = doubled[first:stop]
-        for i, env in zip(rows, np.abs(np.fft.ifft(shifted, axis=1)) * (m / n)):
-            envelopes[i] = env
-    return envelopes
-
+        out.append((members, np.abs(np.fft.ifft(shifted, axis=1)) * (m / n)))
+    return out

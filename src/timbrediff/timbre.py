@@ -150,20 +150,17 @@ def _modulation_bins(sample_rate: int, n: int, m: int):
 
 
 def _roughness(clip: AudioClip, loudness: np.ndarray) -> float:
-    envelopes = band_envelopes(clip, bark_band_edges(clip.sample_rate))
-
     # RMS of each envelope's 30-150 Hz band-pass by Parseval over its kept bins k,
     # 1/T Hz apart at any envelope length m: weight 2 (k and its mirror), 1 at DC
     # and an even m's Nyquist (2k = 0 mod m).  Envelopes of one length share an rfft.
-    lengths = np.array([env.size for env in envelopes])
-    mod_index = np.empty(lengths.size)
-    for m in np.unique(lengths):
-        rows = np.flatnonzero(lengths == m)
-        group = np.array([envelopes[i] for i in rows])
-        kept_bins, weights = _modulation_bins(clip.sample_rate, clip.samples.size, int(m))
+    edges = bark_band_edges(clip.sample_rate)
+    mod_index = np.empty(len(edges))
+    for bands, group in band_envelopes(clip, edges):
+        m = group.shape[1]
+        kept_bins, weights = _modulation_bins(clip.sample_rate, clip.samples.size, m)
         kept = np.fft.rfft(group, axis=1)[:, kept_bins]
         mod_rms = np.sqrt((kept.real ** 2 + kept.imag ** 2) @ weights) / m
-        mod_index[rows] = mod_rms / (group.mean(axis=1) + 1e-12)
+        mod_index[bands] = mod_rms / (group.mean(axis=1) + 1e-12)
     return float((loudness * mod_index).sum() / loudness.sum())
 
 

@@ -2,11 +2,11 @@
 
 cli._analyse computes one STFT per clip and hands it to both
 compute_timbre_vector and spectral_features; the grid constants behind
-them (mel filterbank, Bark band bins, envelope layout, modulation bins) are
-built once per grid and cached.  Every value must equal, bit for bit, what
-fresh standalone calls give, whatever order clips of different rates and
-lengths arrive in, and whether _analyse runs serially or over forked
-workers.
+them (bin frequencies, mel filterbank, Bark band bins, envelope groups,
+modulation bins) are built once per sample rate or clip length and
+cached.  Every value must equal, bit for bit, what fresh standalone calls
+give, whatever order clips of different rates and lengths arrive in, and
+whether _analyse runs serially or over forked workers.
 """
 
 from types import SimpleNamespace
@@ -30,8 +30,8 @@ from timbrediff.timbre import compute_timbre_vector
 
 
 def clear_grid_caches():
-    for cached in (mel_filterbank, frontend._bark_bins, frontend._envelope_layout,
-                   timbre._modulation_bins):
+    for cached in (mel_filterbank, frontend.stft_bin_freqs, frontend._bark_bins,
+                   frontend._envelope_layout, timbre._modulation_bins):
         cached.cache_clear()
 
 
@@ -94,10 +94,10 @@ def test_shared_path_equals_standalone_calls(clip_dir, provider, usable_cpus):
 
 
 def test_grid_constants_are_read_only():
-    bank = mel_filterbank(CANONICAL_RATE, 1024)
+    bank = mel_filterbank(CANONICAL_RATE)
     _, weights = timbre._modulation_bins(CANONICAL_RATE, 16000, 512)
-    for array in (bank, weights):
+    for array in (bank, weights, frontend.stft_bin_freqs(CANONICAL_RATE)):
         with pytest.raises(ValueError):
             array[0] = 1.0
-    assert mel_filterbank(CANONICAL_RATE, 1024) is bank
+    assert mel_filterbank(CANONICAL_RATE) is bank
 

@@ -65,6 +65,22 @@ class TestSynthCommand:
                    "--causes", "nonsense") == 1
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options,message", [
+        (["--conditions", "-1"], "--conditions must lie in 1..3 (the default specs), got -1"),
+        (["--conditions", "0"], "--conditions must lie in 1..3 (the default specs), got 0"),
+        (["--conditions", "4"], "--conditions must lie in 1..3 (the default specs), got 4"),
+        (["--train-per-cond", "-1"], "--train-per-cond must be >= 0, got -1"),
+        (["--test-per-cond", "-2"], "--test-per-cond must be >= 0, got -2"),
+        (["--causes", "buzz,hiss,buzz"], "--causes: repeated cause ids: ['buzz']"),
+    ], ids=["conditions_negative", "conditions_zero", "conditions_above_specs",
+            "train_negative", "test_negative", "cause_repeated"])
+    def test_bad_count_or_cause_fails_before_any_file(self, tmp_path, capsys, options,
+                                                      message):
+        out = tmp_path / "d"
+        assert run("synth", "--out", out, "--seed", "3", *options) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_counts_and_files(self, tiny_dataset, tmp_path):
@@ -650,6 +666,21 @@ def test_fit_rejects_what_score_would_before_analysis(tiny_dataset, tmp_path, ca
                "--provider", "spectral", "--out", model, *options) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not model.exists()
+
+
+@pytest.mark.parametrize("value", ["0.7", "0.5", "-0.1"])
+def test_gen_gt_rejects_t_prime_before_analysis(tiny_dataset, tmp_path, capsys, monkeypatch,
+                                                usable_cpus, value):
+    usable_cpus(1)              # serial, so that every _analyse_clip call is seen
+    calls = []
+    monkeypatch.setattr(cli, "_analyse_clip", lambda *args: calls.append(args))
+    out = tmp_path / "gt.csv"
+    assert run("gen-gt", "--manifest", tiny_dataset / "manifest.csv", "--audio-root",
+               tiny_dataset, "--t-prime", value, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: --t-prime: threshold t must lie in [0, 0.5), got {float(value)}\n")
+    assert calls == []
+    assert not out.exists()
 
 
 def test_config_k_above_rows_names_config(tiny_dataset, model_copy, capsys, tmp_path):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from timbrediff.frontend import (
     _RESAMPLE_HALF_TAPS,
     BARK_EDGES_HZ,
+    FRAME_LEN,
+    HOP,
     AudioClip,
     EmptyBandError,
     Spectrogram,
@@ -354,15 +356,15 @@ class TestStftPower:
 
     def test_white_noise_parseval(self):
         clip = make_noise(11, duration=2.0)
-        frame_len, hop = 1024, 512
-        spec = stft_power(clip, frame_len, hop)
-        window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(frame_len) / frame_len)
+        spec = stft_power(clip)
+        window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(FRAME_LEN) / FRAME_LEN)
         frames = np.lib.stride_tricks.sliding_window_view(
-            clip.samples, frame_len)[::hop]
+            clip.samples, FRAME_LEN)[::HOP]
+        assert spec.power.shape == (frames.shape[0], 513)
         time_power = ((frames * window) ** 2).sum(axis=1).mean()
         one_sided = (spec.power[:, 0] + spec.power[:, -1]
                      + 2.0 * spec.power[:, 1:-1].sum(axis=1))
-        freq_power = (one_sided / frame_len).mean()
+        freq_power = (one_sided / FRAME_LEN).mean()
         assert abs(freq_power / time_power - 1.0) < 0.05
 
     def test_gain_quadratic(self):
@@ -373,18 +375,37 @@ class TestStftPower:
             np.testing.assert_allclose(scaled, c * c * base, rtol=1e-9)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            stft_power(AudioClip(np.zeros(100), 16000), frame_len=1024)
-        with pytest.raises(ValueError):
-            stft_power(make_tone(440), frame_len=1000)  # not a power of two
-        with pytest.raises(ValueError):
-            stft_power(make_tone(440), frame_len=1024, hop=2048)
+        with pytest.raises(ValueError, match="shorter than one 1024-sample frame"):
+            stft_power(AudioClip(np.zeros(1023), 16000))
 
     def test_deterministic(self):
         clip = make_noise(9)
         a = stft_power(clip).power
         b = stft_power(clip).power
         assert np.array_equal(a, b)
+
+
+class TestSpectrogram:
+    def test_rejects_power_off_the_grid(self):
+        for shape in ((4, 512), (4, 514), (513,), (1, 4, 513)):
+            with pytest.raises(ValueError, match=r"power must be \[frames x 513\] bins"):
+                Spectrogram(np.ones(shape), 16000)
+
+    def test_rejects_non_positive_rate(self):
+        for rate in (0, -16000):
+            with pytest.raises(ValueError, match="sample_rate must be positive"):
+                Spectrogram(np.ones((4, 513)), rate)
+
+    @pytest.mark.parametrize("rate", [200, 8000, 16000, 22050, 44100])
+    def test_bin_freqs_follow_the_rate(self, rate):
+        spec = Spectrogram(np.ones((2, 513)), rate)
+        assert spec.bin_freqs.shape == (513,)
+        for i in range(513):
+            assert spec.bin_freqs[i] == i * rate / 1024
+        assert stft_power(make_noise(5, rate=rate, duration=1024 / rate)).bin_freqs is \
+            spec.bin_freqs                                      # cached per rate
+        with pytest.raises(ValueError):
+            spec.bin_freqs[1] = 0.0
 
 
 class TestBarkBands:
@@ -404,8 +425,7 @@ class TestBarkBands:
         assert bark_band_powers(spec).shape[1] == 22
 
     def test_flat_spectrum_equal_band_means(self):
-        freqs = np.arange(513) * (16000 / 1024)
-        spec = Spectrogram(np.ones((4, 513)), freqs, 31.25)
+        spec = Spectrogram(np.ones((4, 513)), 16000)
         bands = bark_band_powers(spec)
         np.testing.assert_allclose(bands, 1.0, rtol=1e-9)
 
@@ -425,9 +445,9 @@ class TestBarkBands:
 
     def test_equals_mask_reference(self):
         # The cached bin ranges give, bit for bit, the mean over each band's
-        # boolean-mask gather, on every grid, in any order of grids.
+        # boolean-mask gather, at every rate, in any order of rates.
         def reference(spec):
-            n_bands = len(bark_band_edges(int(round(2 * spec.nyquist))))
+            n_bands = len(bark_band_edges(spec.sample_rate))
             band_index = np.searchsorted(BARK_EDGES_HZ, spec.bin_freqs, side="right") - 1
             out = np.zeros((spec.power.shape[0], n_bands))
             for band in range(n_bands):
@@ -439,32 +459,62 @@ class TestBarkBands:
         conditions, causes = default_benchmark_specs()
         clips = [generate_clip(conditions[i % 3], cause, 1.0, 60 + i)
                  for i, cause in enumerate((None, *causes))]
-        specs = [stft_power(clip, frame_len=frame_len, hop=frame_len // 2)
-                 for clip in clips for frame_len in (1024, 256)]
+        specs = [stft_power(clip) for clip in clips]
         specs += [stft_power(make_noise(5, rate=rate)) for rate in (8000, 22050, 44100)]
-        rng = np.random.default_rng(3)            # an uneven grid as well
-        specs.append(Spectrogram(rng.random((7, 40)),
-                                 np.r_[0.0, np.cumsum(rng.random(39)) * 300], 50.0))
         for spec in specs * 2:
             assert bark_band_powers(spec).tobytes() == reference(spec).tobytes()
 
 
+def envelope_rows(groups, n_bands):
+    """band_envelopes' groups as one envelope per band, in band order, once
+    their layout is checked: every band sits in exactly one group, a
+    group's rows are in band order and share one length m, and groups
+    ascend strictly in m."""
+    lengths = [group.shape[1] for _, group in groups]
+    assert lengths == sorted(set(lengths))
+    rows = [None] * n_bands
+    for bands, group in groups:
+        assert group.ndim == 2 and group.shape[0] == len(bands) > 0
+        assert list(bands) == sorted(bands)
+        for band, env in zip(bands, group):
+            assert rows[band] is None
+            rows[band] = env
+    assert all(row is not None for row in rows)
+    return rows
+
+
+def one_envelope(clip, band):
+    return envelope_rows(band_envelopes(clip, [band]), 1)[0]
+
+
 class TestBandEnvelopes:
+    @pytest.mark.parametrize("rate,seconds", [
+        (16000, 1.0), (16000, 10.0), (8000, 1.0), (22050, 1.0), (44100, 0.5)])
+    def test_groups_hold_each_band_once_in_ascending_m(self, rate, seconds):
+        # Bark bands span tens to thousands of bins, so they take several m.
+        edges = bark_band_edges(rate)
+        groups = band_envelopes(make_noise(rate, duration=seconds, rate=rate), edges)
+        envelope_rows(groups, len(edges))
+        assert len(groups) > 1
+        for bands, _ in groups:     # the cached band indices stay unchanged
+            with pytest.raises(ValueError):
+                bands[0] = 0
+
     def test_tone_envelope_flat(self):
         clip = make_tone(1000, amplitude=0.6)
-        env = band_envelopes(clip, [(900.0, 1100.0)])[0]
+        env = one_envelope(clip, (900.0, 1100.0))
         trim = int(0.010 * env.size / clip.duration)      # 10 ms of envelope
         core = env[trim:-trim]
         assert np.abs(core - 0.6).max() / 0.6 < 0.02
 
     def test_out_of_band_rejection(self):
         clip = make_tone(1000, amplitude=0.6)
-        env = band_envelopes(clip, [(2000.0, 3000.0)])[0]
+        env = one_envelope(clip, (2000.0, 3000.0))
         assert env.max() < 0.006
 
     def test_am_envelope_oscillates(self):
         clip = make_tone(1000, amplitude=0.4, am_freq=70, am_depth=1.0)
-        env = band_envelopes(clip, [(900.0, 1100.0)])[0]
+        env = one_envelope(clip, (900.0, 1100.0))
         trim = int(0.010 * env.size / clip.duration)
         core = env[trim:-trim]
         assert core.max() / max(core.min(), 1e-12) > 10
@@ -577,8 +627,7 @@ def assert_envelopes_match_reference(clip, edges=None):
             band_envelopes(clip, edges)
         return
     scale = np.abs(np.fft.ifft(spectra, axis=1)).max()
-    out = band_envelopes(clip, edges)
-    assert len(out) == len(edges)
+    out = envelope_rows(band_envelopes(clip, edges), len(edges))
     for env, spectrum in zip(out, spectra):
         assert env.shape == (_expected_envelope_length(clip, np.count_nonzero(spectrum)),)
         j, ref = _reference_envelope_at(spectrum, env.size)
@@ -603,7 +652,7 @@ class TestBandEnvelopesMatchReference:
         # 10 s at 15,450 Hz: the 7700-7725 Hz Nyquist band has 251 bins, so
         # 8 * width asks for 2048 samples, but 150 Hz is bin 1500.
         clip = _uniform_clip(15450, 154500, seed=9)
-        assert band_envelopes(clip, [(7700.0, 7725.0)])[0].size == 4096
+        assert one_envelope(clip, (7700.0, 7725.0)).size == 4096
         assert_envelopes_match_reference(clip)
 
     @pytest.mark.parametrize("n_samples,edges", [
