@@ -49,7 +49,7 @@ from .embeddings import (
 )
 from .evaluation import CoverageError, build_report, write_report_json
 from .frontend import CANONICAL_RATE, WavError, load_wav, resample, stft_power
-from .store import CONFIG_NAME, ModelDirectoryError, load_model, save_model
+from .store import CONFIG_NAME, ModelDirectoryError, load_model, read_config, save_model
 from .synth import default_benchmark_specs, generate_dataset
 from .timbre import MIN_ROUGHNESS_DURATION, N_ATTRIBUTES, TimbreVector, compute_timbre_vector
 
@@ -133,7 +133,7 @@ def _workers(n_clips: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_clips // _MIN_CLIPS_PER_WORKER))
 
 
-def _analyse(args, entries, provider=None):
+def _analyse(args, entries, provider=None, meanwhile=lambda: None):
     """Decode and analyse each clip of `entries` once.
 
     Returns the clip ids, their [N x 5] timbre values and the [N x D] raw
@@ -143,9 +143,14 @@ def _analyse(args, entries, provider=None):
 
     Clips are spread over _workers(len(entries)) forked processes.  Results
     arrive in manifest order, and of several bad clips the first in the
-    manifest is the one reported, as in a serial run.
+    manifest is the one reported, as in a serial run.  `meanwhile()` runs here while
+    the workers decode, or first when serial, so its error wins over a clip's.
     """
     clip_ids = [e.clip_id for e in entries]
+    paths = [Path(args.audio_root) / e.path for e in entries]
+    workers = _workers(len(paths))
+    if workers == 1:
+        meanwhile()
     if provider == EXTERNAL_PROVIDER:
         if not args.embeddings:
             raise ValueError("provider 'external' requires --embeddings")
@@ -155,8 +160,6 @@ def _analyse(args, entries, provider=None):
         if missing:
             raise ValueError(f"{args.embeddings}: no embedding for clip {missing[0]!r}")
     analyse = functools.partial(_analyse_clip, provider=provider)
-    paths = [Path(args.audio_root) / e.path for e in entries]
-    workers = _workers(len(paths))
     if workers == 1:
         analysed = list(map(analyse, paths))
     else:
@@ -172,10 +175,14 @@ def _analyse(args, entries, provider=None):
         # BrokenProcessPool when a worker dies, where multiprocessing.Pool
         # would wait forever for the dead worker's results.
         fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_exit_with_parent,
-                                 initargs=(os.getpid(),)) as pool:
-            chunksize = -(-len(paths) // (4 * workers))
-            analysed = list(pool.map(analyse, paths, chunksize=chunksize))
+        pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_exit_with_parent,
+                                   initargs=(os.getpid(),))
+        try:        # on an error, clips not yet started are cancelled
+            pending = pool.map(analyse, paths, chunksize=-(-len(paths) // (4 * workers)))
+            meanwhile()
+            analysed = list(pending)
+        finally:
+            pool.shutdown(cancel_futures=True)
     # Reshaped so that no clips still gives [0 x 5] and [0 x D].
     timbre = np.array([values for values, _ in analysed]).reshape(-1, N_ATTRIBUTES)
     raw = timbre if provider == TIMBRE_PROVIDER else None
@@ -249,19 +256,23 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_score(args) -> int:
-    ref, config = load_model(args.model)
-    if args.distance:
-        ref = replace(ref, distance_kind=DistanceKind.parse(args.distance),
-                      embeddings_checked=True)
-    if args.k is not None:      # an override fails before any clip is analysed
-        check_k(args.k, ref.size)
+    # Options are checked against config.json before any clip is decoded.
+    config = read_config(args.model)
+    if args.k is not None:
+        check_k(args.k, config["count"])
     k = args.k if args.k is not None else config["k"]
     t = args.t if args.t is not None else config["t"]
     check_t(t)
     provider = config["provider"]
 
     tests = [e for e in load_manifest(args.manifest) if e.split == "test"]
-    clip_ids, timbre, raw = _analyse(args, tests, provider)
+    loaded = []                 # [ReferenceSet, config], read while the workers decode
+    clip_ids, timbre, raw = _analyse(args, tests, provider,
+                                     lambda: loaded.extend(load_model(args.model, config)))
+    ref = loaded[0]
+    if args.distance:
+        ref = replace(ref, distance_kind=DistanceKind.parse(args.distance),
+                      embeddings_checked=True)
     if args.k is None:          # the model's k, checked after a bad clip is named
         try:
             check_k(k, ref.size)

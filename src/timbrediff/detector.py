@@ -108,35 +108,37 @@ def _gram_candidates(matrix, queries, kind, k: int) -> list:
     Kept: rows whose lower bound on distances_to's value is at most the
     k-th smallest upper bound.  Bounds are the Gram form |x|^2 + |q|^2 -
     2 x.q (Euclidean, squared) or 1 - x.q / (|x| |q|) (cosine), plus or
-    minus 2 (gamma_{D+2} + u) (|x| + |q|)^2 or 4 (gamma_{D+2} + u), with
-    u = 2**-52, gamma_n = n u / (1 - n u); README.md derives them.  The 4u
-    margins make a dropped row strictly farther than k kept rows.  Squared
-    norms under _NORM_SQ_FLOOR (zero vectors too) and NaNs get (0, inf).
+    minus one spread per query, 2 (gamma_{D+2} + u) (max |x| + |q|)^2 or
+    4 (gamma_{D+2} + u), with u = 2**-52, gamma_n = n u / (1 - n u);
+    README.md derives them.  The 4u margins make a dropped row strictly
+    farther than k kept rows.  Squared norms under _NORM_SQ_FLOOR (zero
+    vectors too) and NaN centres get (0, inf).
     """
     n = matrix.shape[1] + 2
     radius = 2.0 * (n * _U / (1.0 - n * _U) + _U)
     with np.errstate(all="ignore"):
         x_sq = np.einsum("ij,ij->i", matrix, matrix)
         q_sq = np.einsum("ij,ij->i", queries, queries)[:, None]
-        # In place where it matters: three [Q x N] arrays live at most.
+        # The one [Q x N] array, worked in place.
         centre = queries @ matrix.T
         if kind is DistanceKind.EUCLIDEAN:
             centre *= -2.0
             centre += x_sq + q_sq
-            spread = radius * (np.sqrt(x_sq) + np.sqrt(q_sq)) ** 2
+            spread = radius * (np.sqrt(x_sq.max()) + np.sqrt(q_sq)) ** 2
         else:
             centre /= np.sqrt(x_sq) * np.sqrt(q_sq)
             np.subtract(1.0, centre, out=centre)
-            spread = np.full(centre.shape, 2.0 * radius)
-        spread[(x_sq < _NORM_SQ_FLOOR) | (q_sq < _NORM_SQ_FLOOR)] = np.inf
-        lower = np.subtract(centre, spread)
-        np.fmax(lower, 0.0, out=lower)
+            spread = np.full(q_sq.shape, 2.0 * radius)
+        centre[:, x_sq < _NORM_SQ_FLOOR] = np.nan
+        # centre + spread rises with the centre, so the k-th smallest upper
+        # bound is that of the k-th smallest centre; NaNs sort last.
+        kth = np.array([np.partition(row, k - 1)[k - 1] for row in centre])[:, None]
+        upper = np.fmin(kth + spread, np.inf) * (1 + 4 * _U)
+        upper[q_sq < _NORM_SQ_FLOOR] = np.inf
+        centre -= spread
+        lower = np.fmax(centre, 0.0, out=centre)
         lower *= 1 - 4 * _U
-        centre += spread
-        upper = np.fmin(centre, np.inf, out=centre)
-        upper *= 1 + 4 * _U
-    upper.partition(k - 1, axis=1)              # only its k-th value is needed
-    return [np.flatnonzero(keep) for keep in lower <= upper[:, k - 1:k]]
+    return [np.flatnonzero(keep) for keep in lower <= upper]
 
 
 def check_k(k: int, size: int) -> None:

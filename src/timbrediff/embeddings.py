@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .csvrows import read_columns, read_rows, replacing, write_rows
+from .csvrows import read_rows, replacing, write_rows
 from .frontend import AudioClip, Spectrogram, stft_bin_freqs, stft_power
 from .timbre import SILENCE_POWER_FLOOR, SilentClipError
 
@@ -183,19 +183,23 @@ def write_embeddings(path, clip_ids, vectors) -> None:
             if block.ndim != 2 or block.shape[1] != dim:
                 raise ValueError(f"{path}: embedding rows from {start} are not "
                                  f"{dim}-dimensional, got shape {block.shape}")
-            # A row's float64 sum is finite exactly when each of its float32s is.
-            bad = np.flatnonzero(~np.isfinite(block.sum(axis=1, dtype=np.float64)))
-            if bad.size:
-                row = start + bad[0]
-                raise ValueError(f"{path}: embedding row {row} (clip {clip_ids[row]!r}) "
-                                 "is not finite")
+            check_finite_rows(path, clip_ids, block, start)
             fh.write(block)
             del block           # before the next block is cast
         write_rows(_ids_path(path), _IDS_HEADER, zip(range(count), clip_ids))
 
 
-def read_tdce(path):
-    """Read a TDCE file and its id sidecar into (clip ids, [count x dim] float64)."""
+def check_finite_rows(path, clip_ids, rows, start=0) -> None:
+    """Raise TdceError naming the first non-finite row of `rows`, row `start` of `path`.
+    A float32-range row's float64 sum is finite exactly when each value is: no mask."""
+    bad = np.flatnonzero(~np.isfinite(rows.sum(axis=1, dtype=np.float64)))
+    if bad.size:
+        row = start + bad[0]
+        raise TdceError(f"{path}: embedding row {row} (clip {clip_ids[row]!r}) is not finite")
+
+
+def read_tdce_rows(path) -> np.ndarray:
+    """A TDCE file's [count x dim] float32 rows, once its header and size check out."""
     with open(path, "rb") as fh:
         head = fh.read(_TDCE_HEADER.size)
         payload = os.fstat(fh.fileno()).st_size - len(head)
@@ -208,36 +212,29 @@ def read_tdce(path):
         raise TdceError(f"{path}: unsupported version {version}")
     expected = count * dim * 4
     if payload < expected:
-        raise TdceError(
-            f"{path}: truncated payload ({payload} bytes, expected {expected})"
-        )
+        raise TdceError(f"{path}: truncated payload ({payload} bytes, expected {expected})")
     if payload > expected:
         raise TdceError(f"{path}: {payload - expected} trailing bytes")
+    return np.fromfile(path, "<f4", count * dim, offset=_TDCE_HEADER.size).reshape(count, dim)
 
-    ids_path = _ids_path(path)
-    columns = read_columns(ids_path, _IDS_HEADER, unique="clip_id")
-    if columns is not None and columns[0] == list(map(str, range(len(columns[0])))):
-        ids = columns[1]
-    else:                       # quoted ids and every fault go row by row
-        ids = []
 
-        def add_id(_, row):
-            if row[0] != str(len(ids)):
-                raise ValueError(f"malformed row {row}")
-            ids.append(row[1])
+def read_tdce(path):
+    """Read a TDCE file and its id sidecar into (clip ids, [count x dim] float64)."""
+    vectors = read_tdce_rows(path)
+    ids = []
 
-        read_rows(ids_path, _IDS_HEADER, add_id, TdceError, unique="clip_id")
-    if len(ids) != count:
-        raise TdceError(
-            f"{path}: id count mismatch ({len(ids)} ids for {count} embeddings)"
-        )
+    def add_id(_, row):
+        if row[0] != str(len(ids)):
+            raise ValueError(f"malformed row {row}")
+        ids.append(row[1])
 
-    vectors = np.fromfile(path, "<f4", count * dim, offset=_TDCE_HEADER.size)
-    vectors = vectors.reshape(count, dim)
-    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if bad.size:
-        raise TdceError(f"{path}: embedding row {bad[0]} (clip {ids[bad[0]]!r}) is not finite")
-    return ids, vectors.astype(np.float64)
+    read_rows(_ids_path(path), _IDS_HEADER, add_id, TdceError, unique="clip_id")
+    if len(ids) != len(vectors):
+        raise TdceError(f"{path}: id count mismatch "
+                        f"({len(ids)} ids for {len(vectors)} embeddings)")
+    vectors = vectors.astype(np.float64)
+    check_finite_rows(path, ids, vectors)
+    return ids, vectors
 
 
 def import_embeddings(path, provider_id: str = EXTERNAL_PROVIDER) -> list:

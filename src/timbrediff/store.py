@@ -1,20 +1,20 @@
 """Model directory persistence for the detector's reference set.
 
-A model directory holds config.json, embeddings.tdce (+ id sidecar),
-timbre.csv and normalization.json.  Loading rebuilds the exact reference
-set the scorer should query; every write goes through csvrows.replacing.
+load_model reads a format-2 directory's config.json, embeddings.tdce, clip_ids.json,
+timbre.npy and normalization.json, and parses no row from text.  timbre.csv and the TDCE
+id sidecar are exports only; format 1 had only those.  Every write goes through replacing.
 """
 
 import json
 from datetime import datetime, timezone
-from itertools import chain, zip_longest
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .csvrows import replacing, write_json
+from .csvrows import replacing, write_json, write_rows
 from .detector import ReferenceSet, check_t
 from .embeddings import (
     EXTERNAL_PROVIDER,
@@ -22,24 +22,27 @@ from .embeddings import (
     TIMBRE_PROVIDER,
     DistanceKind,
     NormalizationStats,
-    read_tdce,
+    check_finite_rows,
+    read_tdce_rows,
     write_embeddings,
 )
 from .timbre import (
     ATTRIBUTE_NAMES,
     N_ATTRIBUTES,
+    TIMBRE_CSV_HEADER,
     check_timbre_table,
-    read_timbre_table,
-    write_timbre_csv,
+    timbre_csv_rows,
 )
 
 CONFIG_NAME = "config.json"
 EMBEDDINGS_NAME = "embeddings.tdce"
+CLIP_IDS_NAME = "clip_ids.json"
+TIMBRE_ARRAY_NAME = "timbre.npy"
 TIMBRE_NAME = "timbre.csv"
 NORMALIZATION_NAME = "normalization.json"
 
 MODEL_FORMAT = "timbrediff-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class ModelDirectoryError(ValueError):
@@ -83,21 +86,25 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     }
     del embeddings, timbre_rows     # our copies: only ids, vectors and blocks stay
 
-    # timbre.csv goes first, into the `.tmp` that replacing renames over it
-    # only once the embeddings are in: a bad block leaves the old model
-    # whole, and the timbre array is freed before the blocks are cast.
-    with replacing(model_dir / TIMBRE_NAME) as staged:
+    # Until the embeddings are in, the other files wait in `.tmp`s: a bad block leaves
+    # the old model whole.  The CSV rows round `timbre` in place; timbre.npy keeps that.
+    with replacing(model_dir / TIMBRE_NAME) as staged, \
+            replacing(model_dir / TIMBRE_ARRAY_NAME, "wb") as npy, \
+            replacing(model_dir / CLIP_IDS_NAME) as ids_json:
         staged.close()
-        write_timbre_csv(staged.name, clip_ids, timbre)
+        write_rows(staged.name, TIMBRE_CSV_HEADER, timbre_csv_rows(clip_ids, timbre))
+        np.save(npy, timbre, allow_pickle=False)
         del timbre
+        json.dump(clip_ids, ids_json, separators=(",", ":"))
+        ids_json.flush()        # its pending text, before the blocks are cast
         write_embeddings(model_dir / EMBEDDINGS_NAME, clip_ids, vectors)
     write_json(model_dir / NORMALIZATION_NAME, {"mean": normalization.mean.tolist(),
                                                 "std": normalization.std.tolist()})
     write_json(model_dir / CONFIG_NAME, config)
 
 
-def load_model(model_dir):
-    """Read a model directory back into (ReferenceSet, config dict)."""
+def read_config(model_dir) -> dict:
+    """A model directory's checked config.json, with k an int and t a float."""
     model_dir = Path(model_dir)
     config_path = model_dir / CONFIG_NAME
     if not config_path.exists():
@@ -107,23 +114,62 @@ def load_model(model_dir):
             config = json.load(fh)
         if not isinstance(config, dict) or config.get("format") != MODEL_FORMAT:
             raise ValueError("not a model directory")
+        if (version := config.get("format_version", 1)) != MODEL_FORMAT_VERSION:
+            raise ModelDirectoryError(f"{model_dir}: model format {version}; re-run fit")
         missing = [key for key in ("provider", "distance", "k", "t", "count", "dim")
                    if key not in config]
         if missing:
             raise ValueError(f"missing key {missing[0]!r}")
         if config["provider"] not in (TIMBRE_PROVIDER, SPECTRAL_PROVIDER, EXTERNAL_PROVIDER):
             raise ValueError(f"unknown provider {config['provider']!r}")
+        if not all(type(config[key]) is int and config[key] >= 0 for key in ("count", "dim")):
+            raise ValueError("count and dim must be whole numbers")
         config.update(k=int(config["k"]), t=float(config["t"]))
         if config["k"] < 1:     # k <= count is checked where k is used
             raise ValueError(f"k must be at least 1, got {config['k']}")
         check_t(config["t"])
-        distance = DistanceKind.parse(config["distance"])
+        DistanceKind.parse(config["distance"])
+    except ModelDirectoryError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ModelDirectoryError(f"{config_path}: {exc}") from None
+    return config
 
-    ids, vectors = read_tdce(model_dir / EMBEDDINGS_NAME)
-    timbre_ids, timbre_values = read_timbre_table(model_dir / TIMBRE_NAME)
-    norm_path = model_dir / NORMALIZATION_NAME
+
+def load_model(model_dir, config=None):
+    """Read a model directory back into (ReferenceSet, config dict); `config`
+    is read_config's, if already read.  Messages count binary rows from 0."""
+    model_dir = Path(model_dir)
+    config = read_config(model_dir) if config is None else config
+    tdce_path, ids_path, timbre_path, norm_path = (model_dir / name for name in (
+        EMBEDDINGS_NAME, CLIP_IDS_NAME, TIMBRE_ARRAY_NAME, NORMALIZATION_NAME))
+    vectors = read_tdce_rows(tdce_path)
+    count, dim = vectors.shape
+    for key, value in (("count", count), ("dim", dim)):
+        if config[key] != value:
+            raise ModelDirectoryError(f"{model_dir / CONFIG_NAME}: config {key} {config[key]} "
+                                      f"does not match embedding {key} {value}")
+    try:
+        with open(ids_path, encoding="utf-8") as fh:
+            ids = json.load(fh)
+        if type(ids) is not list or not all(type(cid) is str for cid in ids):
+            raise ValueError("expected a JSON list of clip id strings")
+        if len(ids) != count:
+            raise ValueError(f"{len(ids)} clip ids for {count} rows of {EMBEDDINGS_NAME}")
+        if len(set(ids)) != count:
+            first = {}
+            row = next(i for i, cid in enumerate(ids) if first.setdefault(cid, i) != i)
+            raise ValueError(f"row {row}: duplicate clip id {ids[row]!r} "
+                             f"(first at row {first[ids[row]]})")
+    except ValueError as exc:
+        raise ModelDirectoryError(f"{ids_path}: {exc}") from None
+    try:    # mapped, not read, so a header claiming too many rows allocates nothing
+        timbre = np.lib.format.open_memmap(timbre_path, mode="r")
+        if timbre.dtype != np.float64:
+            raise ValueError(f"expected float64 timbre values, got {timbre.dtype}")
+    except ValueError as exc:
+        raise ModelDirectoryError(f"{timbre_path}: {exc}") from None
+    timbre = check_timbre_table(timbre_path, ids, np.array(timbre, order="C"), first_row=0)
     try:
         with open(norm_path) as fh:
             norm_data = json.load(fh)
@@ -132,21 +178,11 @@ def load_model(model_dir):
         normalization = NormalizationStats(norm_data["mean"], norm_data["std"])
     except (TypeError, ValueError) as exc:
         raise ModelDirectoryError(f"{norm_path}: {exc}") from None
-
-    count, dim = vectors.shape
-    if count != config["count"]:
-        raise ModelDirectoryError(f"{model_dir}: embedding count {count} does not "
-                                  f"match config count {config['count']}")
-    if config["dim"] != dim:
-        raise ModelDirectoryError(f"{model_dir}: config dim {config['dim']} does not "
-                                  f"match embedding dim {dim}")
     if normalization.dim != dim:
         raise ModelDirectoryError(f"{model_dir}: {NORMALIZATION_NAME} dim {normalization.dim}"
                                   f" does not match embedding dim {dim}")
-    if timbre_ids != ids:       # save_model writes both in the sidecar's order
-        row, found, want = next((i, a, b) for i, (a, b)
-                                in enumerate(zip_longest(timbre_ids, ids)) if a != b)
-        raise ModelDirectoryError(f"{model_dir / TIMBRE_NAME}: row {row + 2}: clip {found!r} "
-                                  f"where {EMBEDDINGS_NAME} has {want!r}")
-    return ReferenceSet(vectors, timbre_values, tuple(ids), config["provider"],
-                        distance, normalization, embeddings_checked=True), config
+    vectors = vectors.astype(np.float64)
+    check_finite_rows(tdce_path, ids, vectors)
+    return ReferenceSet(vectors, timbre, tuple(ids), config["provider"],
+                        DistanceKind.parse(config["distance"]), normalization,
+                        embeddings_checked=True), config

@@ -271,6 +271,14 @@ def generate_dataset(conditions, causes, train_per_condition: int,
     causes = tuple(causes)
     if not conditions or not causes:
         raise ValueError("need at least one condition and one cause")
+    if min(train_per_condition, test_per_condition) < 0:
+        raise ValueError(f"per-condition counts must be >= 0, got {train_per_condition} "
+                         f"train and {test_per_condition} test")
+    for kind, ids in (("condition", [c.condition_id for c in conditions]),
+                      ("cause", [c.cause_id for c in causes])):
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:        # they would repeat clip ids, which load_manifest rejects
+            raise ValueError(f"repeated {kind} ids: {repeated}")
     out_dir = Path(out_dir)
     audio_dir = out_dir / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)

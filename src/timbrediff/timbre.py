@@ -9,11 +9,10 @@ the perceptual attributes, not calibrated psychoacoustic units.
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
-from .csvrows import read_columns, read_rows, write_rows
+from .csvrows import read_rows, write_rows
 from .frontend import (
     ENVELOPE_MOD_HZ,
     AudioClip,
@@ -35,6 +34,7 @@ MIN_ROUGHNESS_DURATION = 0.25   # seconds
 
 TIMBRE_CSV_HEADER = ["clip_id", "sharpness", "roughness", "boominess",
                      "brightness", "depth"]
+_CSV_BLOCK_ROWS = 256           # about 80 KB of value text at a time
 
 
 class SilentClipError(ValueError):
@@ -189,53 +189,51 @@ def compute_timbre_vector(clip: AudioClip, spec: Spectrogram = None) -> TimbreVe
 # CSV export
 # ---------------------------------------------------------------------------
 
-def check_timbre_table(path, clip_ids, values) -> np.ndarray:
-    """[N x 5] float64 values for write_timbre_csv, checked as TimbreVector;
-    a bad row fails as read_timbre_table would name it in `path`."""
+def check_timbre_table(path, clip_ids, values, first_row=2) -> np.ndarray:
+    """[N x 5] float64 values checked as TimbreVector; a bad row fails named in `path`
+    by its number from `first_row`: 2 under a CSV header (read_timbre_table's), 0 in an array."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (len(clip_ids), N_ATTRIBUTES):
         raise ValueError(f"{path}: expected [{len(clip_ids)} x {N_ATTRIBUTES}] timbre values, "
                          f"got shape {values.shape}")
     problem = _timbre_violation(values)
     if problem is not None:
-        raise ValueError(f"{path}: row {problem[0] + 2}: {problem[1]}")
+        raise ValueError(f"{path}: row {problem[0] + first_row}: {problem[1]}")
     return values
+
+
+def timbre_csv_rows(clip_ids, values):
+    """CSV rows of clip ids and check_timbre_table's [N x 5] values at 9 significant digits,
+    made _CSV_BLOCK_ROWS at a time; each value is overwritten by what its text reads back as."""
+    for start in range(0, len(clip_ids), _CSV_BLOCK_ROWS):
+        rows = values[start:start + _CSV_BLOCK_ROWS]
+        texts = [list(map("%.9g".__mod__, column)) for column in rows.T]
+        for column, text in zip(rows.T, texts):
+            column[:] = np.fromiter(map(float, text), np.float64, len(text))
+        yield from zip(clip_ids[start:start + _CSV_BLOCK_ROWS], *texts)
 
 
 def write_timbre_csv(path, clip_ids, values) -> None:
     """Write clip ids and their [N x 5] values, checked by check_timbre_table
     before the file is touched; values keep 9 significant digits."""
-    values = check_timbre_table(path, clip_ids, values)
-    write_rows(path, TIMBRE_CSV_HEADER,
-               zip(clip_ids, *(map("%.9g".__mod__, column) for column in values.T)))
+    values = check_timbre_table(path, clip_ids, np.array(values, dtype=np.float64))
+    write_rows(path, TIMBRE_CSV_HEADER, timbre_csv_rows(clip_ids, values))
 
 
 def read_timbre_table(path):
     """Read a timbre CSV into (clip ids, [N x 5] values), checked as TimbreVector."""
-    columns = read_columns(path, TIMBRE_CSV_HEADER, unique="clip_id")
-    if columns is not None:
-        ids = columns[0]
-        try:
-            values = np.fromiter(map(float, chain.from_iterable(columns[1:])), np.float64,
-                                 N_ATTRIBUTES * len(ids)).reshape(N_ATTRIBUTES, -1).T.copy()
-        except ValueError:
-            values = None
-        if values is not None and _timbre_violation(values) is None:
-            return ids, values
-    # Quoted ids and every fault go row by row, so that errors name the row.
-    ids, rows = [], []
+    ids = []
 
-    def parse(row, fields):
+    def parse(_, fields):
+        values = np.array([float(v) for v in fields[1:]])
+        problem = _timbre_violation(values[None, :])
+        if problem is not None:
+            raise ValueError(problem[1])
         ids.append(fields[0])
-        rows.append(row)
-        return [float(v) for v in fields[1:]]
+        return values
 
     values = read_rows(path, TIMBRE_CSV_HEADER, parse, unique="clip_id")
-    values = np.array(values, dtype=np.float64).reshape(-1, N_ATTRIBUTES)
-    problem = _timbre_violation(values)
-    if problem is not None:
-        raise ValueError(f"{path}: row {rows[problem[0]]}: {problem[1]}")
-    return ids, values
+    return ids, np.array(values, dtype=np.float64).reshape(-1, N_ATTRIBUTES)
 
 
 def read_timbre_csv(path) -> dict:

@@ -224,43 +224,66 @@ class TestModelFileErrors:
 
     def test_timbre_value_out_of_range(self, tiny_dataset, model_copy,
                                        tmp_path, capsys):
-        path = model_copy / "timbre.csv"
-        lines = path.read_text().splitlines()
-        cells = lines[2].split(",")
-        cells[5] = "1.5"                                   # depth
-        lines[2] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        path = model_copy / "timbre.npy"
+        values = np.load(path)
+        values[1, 4] = 1.5                                 # depth
+        np.save(path, values)
         err = self.score_error(tiny_dataset, model_copy, tmp_path, capsys)
-        assert f"{path}: row 3: depth must lie in [0, 1]" in err
+        assert f"{path}: row 1: depth must lie in [0, 1]" in err
 
     def test_tdce_sidecar_row(self, tiny_dataset, model_copy, tmp_path, capsys):
-        path = model_copy / "embeddings.tdce.ids.csv"
-        lines = path.read_text().splitlines()
-        lines[4] = "7," + lines[4].split(",", 1)[1]        # row index out of order
-        path.write_text("\n".join(lines) + "\n")
+        # The embeddings' ids come from clip_ids.json, not the TDCE sidecar.
+        path = model_copy / "clip_ids.json"
+        ids = json.loads(path.read_text())
+        ids[4] = ids[0]
+        path.write_text(json.dumps(ids))
         err = self.score_error(tiny_dataset, model_copy, tmp_path, capsys)
-        assert f"{path}: row 5: malformed row" in err
+        assert f"{path}: row 4: duplicate clip id {ids[0]!r} (first at row 0)" in err
 
     @pytest.mark.parametrize("edit", ["permuted", "missing", "extra"])
     def test_timbre_rows_follow_embeddings(self, tiny_dataset, model_copy, tmp_path,
                                            capsys, edit):
-        path = model_copy / "timbre.csv"
-        lines = path.read_text().splitlines()
-        ids = [line.split(",", 1)[0] for line in lines[1:]]
-        if edit == "permuted":      # rows 3 and 4 swap: a reorder is not repaired
-            lines[2], lines[3] = lines[3], lines[2]
-            expected = f"row 3: clip {ids[2]!r} where embeddings.tdce has {ids[1]!r}"
-        elif edit == "missing":
-            del lines[-1]
-            expected = f"row {len(ids) + 1}: clip None where embeddings.tdce has {ids[-1]!r}"
-        else:
-            lines.append("extra," + lines[-1].split(",", 1)[1])
-            expected = f"row {len(ids) + 2}: clip 'extra' where embeddings.tdce has None"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelDirectoryError, match=re.escape(f"{path}: {expected}")):
+        # timbre.npy needs one row per embedding: a transposed array is not repaired.
+        path = model_copy / "timbre.npy"
+        values = np.load(path)
+        count = len(values)
+        values = {"permuted": values.T, "missing": values[:-1],
+                  "extra": np.vstack([values, values[-1:]])}[edit]
+        np.save(path, values)
+        expected = f"expected [{count} x 5] timbre values, got shape {values.shape}"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {expected}")):
             load_model(model_copy)
         assert f"{path}: {expected}" in self.score_error(
             tiny_dataset, model_copy, tmp_path, capsys)
+
+    def test_format_1_is_refused(self, tiny_dataset, model_copy, tmp_path, capsys):
+        edit_json(model_copy / "config.json", "format_version", 1)
+        assert self.score_error(tiny_dataset, model_copy, tmp_path, capsys) == (
+            f"error: {model_copy}: model format 1; re-run fit\n")
+
+    def test_exports_are_not_read(self, tiny_dataset, fitted, model_copy, tmp_path):
+        common = ["--manifest", tiny_dataset / "manifest.csv", "--audio-root", tiny_dataset]
+        assert run("score", "--model", fitted, *common, "--out", tmp_path / "a.csv") == 0
+        (model_copy / "timbre.csv").unlink()
+        (model_copy / "embeddings.tdce.ids.csv").unlink()
+        assert run("score", "--model", model_copy, *common, "--out", tmp_path / "b.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_model_error_wins_over_a_clip_error(self, tiny_dataset, model_copy, tmp_path,
+                                                capsys, usable_cpus, cpus):
+        # The rows are read while the workers decode: a bad model is still
+        # reported, not the bad clip that the workers find.
+        usable_cpus(cpus)
+        root = tmp_path / "data"
+        shutil.copytree(tiny_dataset, root)
+        test_clip = next(e for e in load_manifest(root / "manifest.csv") if e.split == "test")
+        (root / test_clip.path).write_bytes(b"not a wav")
+        nan_row(model_copy / "embeddings.tdce", 3)
+        clip = json.loads((model_copy / "clip_ids.json").read_text())[3]
+        err = self.score_error(root, model_copy, tmp_path, capsys)
+        assert err == (f"error: {model_copy / 'embeddings.tdce'}: embedding row 3 "
+                       f"(clip {clip!r}) is not finite\n")
 
 
 class TestScoreCommand:
@@ -634,9 +657,12 @@ def test_bad_value_names_its_file(tiny_dataset, model_copy, tmp_path, capsys, ca
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and fragment in err, err
-    if name == "embeddings.tdce" or name is None:
+    if name is None:
         clip = (path.parent / (path.name + ".ids.csv")).read_text().splitlines()[4]
         assert f"(clip {clip.split(',', 1)[1]!r}) is not finite" in err
+    elif name == "embeddings.tdce":     # the model's ids are in clip_ids.json
+        clip = json.loads((model_copy / "clip_ids.json").read_text())[3]
+        assert f"(clip {clip!r}) is not finite" in err
 
 
 @pytest.mark.parametrize("option,value,message", [

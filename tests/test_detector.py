@@ -133,6 +133,20 @@ class TestBatchedSearch:
             np.testing.assert_array_equal(got_indices, order)
             assert got_distances.tobytes() == full[order].tobytes()
 
+    @pytest.mark.parametrize("rows,query,k", [
+        # Squared row norms underflow: their cosine centres are far off.
+        ([[-1e-162], [-1e-162], [2e-162], [1e-162], [-2e-162]], [1.0], 3),
+        # The query's squared norm underflows: every row is rescored.
+        ([[0.3], [2.0], [2.0], [2.0]], [3e-163], 3),
+    ], ids=["tiny_rows", "tiny_query"])
+    def test_underflowing_norms_are_rescored(self, rows, query, k):
+        ref = make_ref(rows, kind=DistanceKind.COSINE)
+        indices, distances = knn(ref, np.array([query]), k)
+        full = distances_to(np.array(rows), np.array(query), DistanceKind.COSINE)
+        order = np.argsort(full, kind="stable")[:k]
+        np.testing.assert_array_equal(indices[0], order)
+        assert distances[0].tobytes() == full[order].tobytes()
+
     def test_filter_keeps_few_rows(self):
         # Continuous data has no ties: the bounds are ~1e-13 relative, so
         # the rescored set should be the k neighbours themselves.

@@ -1,20 +1,20 @@
-"""load_model reads a model's CSVs in bulk where it can and row by row where
-it must; either way it gives the same ids, the same bits and the same errors.
-save_model writes them with the bytes of the row-wise writers it replaced,
-the embeddings one block of float32 rows at a time."""
+"""load_model reads a format-2 model directory, the TDCE payload, clip_ids.json
+and timbre.npy, and never its CSV exports; what it loads equals, to the bit,
+what the row-wise readers give for those exports.  save_model writes the
+exports with the bytes of the row-wise writers it replaced, the embeddings
+one block of float32 rows at a time."""
 
+import json
 import re
 import shutil
-from contextlib import contextmanager
-from unittest import mock
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timbrediff import embeddings, timbre
-from timbrediff.csvrows import read_columns, replacing, write_rows
+from timbrediff.csvrows import replacing, write_rows
 from timbrediff.embeddings import (
     _TDCE_HEADER,
     _WRITE_BLOCK_ROWS,
@@ -24,10 +24,11 @@ from timbrediff.embeddings import (
     Embedding,
     NormalizationStats,
     TdceError,
+    read_tdce,
     write_embeddings,
 )
-from timbrediff.store import load_model, save_model
-from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector
+from timbrediff.store import ModelDirectoryError, load_model, save_model
+from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, read_timbre_table
 
 BULK_ROWS = 2000
 DIM = 4
@@ -44,41 +45,32 @@ def save(model_dir, ids):
     return vectors.astype(np.float32).astype(np.float64), values
 
 
-@contextmanager
-def row_wise():
-    """Both CSV readers decline the bulk path, so that each file is read by
-    read_rows with a per-row parse."""
-    def decline(*args, **kwargs):
-        return None
-
-    with mock.patch.object(timbre, "read_columns", decline), \
-            mock.patch.object(embeddings, "read_columns", decline):
-        yield
-
-
 def loaded(model_dir):
     ref, config = load_model(model_dir)
     return (ref.clip_ids, config, [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes())
                                    for a in (ref.embeddings, ref.timbre_values)])
 
 
-def takes_bulk_path(model_dir):
-    return (read_columns(model_dir / "timbre.csv", TIMBRE_CSV_HEADER) is not None,
-            read_columns(model_dir / "embeddings.tdce.ids.csv", ["row", "clip_id"]) is not None)
+def exported(model_dir):
+    """What the row-wise readers give for the CSV exports, in loaded()'s form."""
+    ids, vectors = read_tdce(model_dir / "embeddings.tdce")
+    timbre_ids, values = read_timbre_table(model_dir / "timbre.csv")
+    assert timbre_ids == ids
+    return tuple(ids), [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes())
+                        for a in (vectors, values)]
 
 
 def test_quoted_ids_round_trip(tmp_path):
     ids = ["a,b", 'say "hi"', "two\nlines", " leading", "naïve – 東京", "plain"]
     vectors, values = save(tmp_path, ids)
-    assert takes_bulk_path(tmp_path) == (False, False)
+    assert json.loads((tmp_path / "clip_ids.json").read_text()) == ids
     ref, _ = load_model(tmp_path)
     assert ref.clip_ids == tuple(ids)
     assert np.array_equal(ref.embeddings, vectors)
     assert np.array_equal(ref.timbre_values, np.array([[float(f"{v:.9g}") for v in row]
                                                        for row in values]))
-    with row_wise():
-        reference = loaded(tmp_path)
-    assert loaded(tmp_path) == reference
+    ids, _, arrays = loaded(tmp_path)
+    assert (ids, arrays) == exported(tmp_path)
 
 
 @pytest.fixture(scope="module")
@@ -89,58 +81,115 @@ def bulk_model(tmp_path_factory):
 
 
 def test_bulk_load_equals_row_wise_to_the_bit(bulk_model):
-    assert takes_bulk_path(bulk_model) == (True, True)
-    with row_wise():
-        reference = loaded(bulk_model)
-    assert loaded(bulk_model) == reference
-    assert reference[0] == tuple(f"clip_{i:05d}" for i in range(BULK_ROWS))
+    # timbre.npy and clip_ids.json hold what the exports read back as.
+    ids, config, arrays = loaded(bulk_model)
+    assert (ids, arrays) == exported(bulk_model)
+    assert ids == tuple(f"clip_{i:05d}" for i in range(BULK_ROWS))
+    assert config["format_version"] == 2
+
+
+def test_load_model_reads_no_export(bulk_model, tmp_path):
+    model_dir = tmp_path / "m"
+    shutil.copytree(bulk_model, model_dir)
+    (model_dir / "timbre.csv").unlink()
+    (model_dir / "embeddings.tdce.ids.csv").unlink()
+    assert loaded(model_dir) == loaded(bulk_model)
 
 
 def test_load_model_scans_the_embeddings_once(bulk_model):
-    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+    # One scan of the per-row sums, and no [N x D] mask.
+    with pytest.MonkeyPatch.context() as patch:
+        calls = []
+        isfinite = np.isfinite
+        patch.setattr(np, "isfinite", lambda a, *args, **kwargs: (
+            calls.append(np.shape(a)), isfinite(a, *args, **kwargs))[1])
         ref, _ = load_model(bulk_model)
-    scans = [call for call in isfinite.call_args_list
-             if np.shape(call.args[0]) == ref.embeddings.shape]
-    assert len(scans) == 1
+    assert ref.embeddings.shape not in calls
+    assert calls.count((BULK_ROWS,)) == 1
 
 
-def edit_line(path, number, edit):
-    """Rewrite line `number` (1 = the header) of a CSV that save_model wrote."""
-    lines = path.read_bytes().split(b"\r\n")
-    fields = lines[number - 1].decode().split(",")
-    edit(fields)
-    lines[number - 1] = ",".join(fields).encode()
-    path.write_bytes(b"\r\n".join(lines))
+def test_format_1_directory_is_refused(bulk_model, tmp_path):
+    model_dir = tmp_path / "m"
+    shutil.copytree(bulk_model, model_dir)
+    path = model_dir / "config.json"
+    config = json.loads(path.read_text())
+    del config["format_version"]
+    path.write_text(json.dumps(config))
+    with pytest.raises(ModelDirectoryError,
+                       match=f"^{re.escape(f'{model_dir}: model format 1; re-run fit')}$"):
+        load_model(model_dir)
 
 
-def set_field(column, value):
-    return lambda fields: fields.__setitem__(column, value)
+def edit_ids(edit):
+    def damage(path):
+        ids = json.loads(path.read_text())
+        edit(ids)
+        path.write_text(json.dumps(ids))
+    return damage
 
 
-# (file, line, edit, error type, message after "<file>: ")
+def edit_timbre(edit):
+    def damage(path):
+        values = np.load(path)
+        np.save(path, edit(values), allow_pickle=True)
+    return damage
+
+
+def set_value(row, column, value):
+    def edit(values):
+        values[row, column] = value
+        return values
+    return edit
+
+
+def nan_row(row):
+    def damage(path):
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<f", data, _TDCE_HEADER.size + 4 * DIM * row, float("nan"))
+        path.write_bytes(bytes(data))
+    return damage
+
+
+def edit_config(key, value):
+    def damage(path):
+        config = json.loads(path.read_text())
+        config[key] = value
+        path.write_text(json.dumps(config))
+    return damage
+
+
+# (file, damage, error type, message after "<file>: ")
 BAD_ROWS = {
-    "duplicate_id": ("timbre.csv", 1501, set_field(0, "clip_00009"), ValueError,
-                     "row 1501: duplicate clip_id 'clip_00009' (first at row 11)"),
-    "non_numeric": ("timbre.csv", 1201, set_field(2, "abc"), ValueError,
-                    "row 1201: could not convert string to float: 'abc'"),
-    "boominess_out_of_range": ("timbre.csv", 1701, set_field(3, "1.5"), ValueError,
-                               "row 1701: boominess must lie in [0, 1]"),
-    "sidecar_row_out_of_sequence": ("embeddings.tdce.ids.csv", 901, set_field(0, "7"),
-                                    TdceError, "row 901: malformed row ['7', 'clip_00899']"),
+    "duplicate_id": ("clip_ids.json", edit_ids(lambda ids: ids.__setitem__(1500, "clip_00009")),
+                     ModelDirectoryError,
+                     "row 1500: duplicate clip id 'clip_00009' (first at row 9)"),
+    "missing_id": ("clip_ids.json", edit_ids(lambda ids: ids.pop(900)), ModelDirectoryError,
+                   f"{BULK_ROWS - 1} clip ids for {BULK_ROWS} rows of embeddings.tdce"),
+    "id_not_text": ("clip_ids.json", edit_ids(lambda ids: ids.__setitem__(7, 7)),
+                    ModelDirectoryError, "expected a JSON list of clip id strings"),
+    "non_numeric": ("timbre.npy", edit_timbre(lambda values: values.astype(str)),
+                    ModelDirectoryError, "expected float64 timbre values, got <U"),
+    "object_array": ("timbre.npy", edit_timbre(lambda values: values.astype(object)),
+                     ModelDirectoryError, "Array can't be memory-mapped: Python objects in dtype."),
+    "wrong_shape": ("timbre.npy", edit_timbre(lambda values: values[:-1]), ValueError,
+                    f"expected [{BULK_ROWS} x 5] timbre values, got shape ({BULK_ROWS - 1}, 5)"),
+    "boominess_out_of_range": ("timbre.npy", edit_timbre(set_value(1699, 2, 1.5)), ValueError,
+                               "row 1699: boominess must lie in [0, 1]"),
+    "config_count": ("config.json", edit_config("count", BULK_ROWS + 1), ModelDirectoryError,
+                     f"config count {BULK_ROWS + 1} does not match embedding count {BULK_ROWS}"),
+    "tdce_nan": ("embeddings.tdce", nan_row(1234), TdceError,
+                 "embedding row 1234 (clip 'clip_01234') is not finite"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_ROWS))
 def test_bulk_sized_model_errors_name_file_and_row(bulk_model, tmp_path, case):
-    name, line, edit, error, message = BAD_ROWS[case]
+    name, damage, error, message = BAD_ROWS[case]
     model_dir = tmp_path / "m"
     shutil.copytree(bulk_model, model_dir)
     path = model_dir / name
-    edit_line(path, line, edit)
-    expected = f"{path}: {message}"
-    with pytest.raises(error, match=f"^{re.escape(expected)}$"):
-        load_model(model_dir)
-    with row_wise(), pytest.raises(error, match=f"^{re.escape(expected)}$"):
+    damage(path)
+    with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}"):
         load_model(model_dir)
 
 
@@ -215,9 +264,7 @@ def test_bulk_writers_match_row_wise_writers(tmp_path_factory, model):
     for name in ("embeddings.tdce", "embeddings.tdce.ids.csv", "timbre.csv"):
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
-    bulk = loaded(new)
-    with row_wise():
-        assert loaded(new) == bulk
+    assert loaded(new)[::2] == exported(new)
     ref, _ = load_model(new)
     assert ref.clip_ids == tuple(ids)
     assert ref.embeddings.tobytes() == vectors.astype(np.float32).astype(np.float64).tobytes()

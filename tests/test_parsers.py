@@ -1,18 +1,17 @@
 """Property tests: any bytes given to a file reader either parse or raise
-the package's own error, with a message that names the file.  The bulk
-CSV path gives what the row-wise path gives, to the bit and the message."""
+the package's own error, with a message that names the file.  The model's
+timbre.npy and clip_ids.json are read through load_model."""
 
-import csv
+import io
+import json
+import shutil
 import struct
-from contextlib import contextmanager, nullcontext
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from timbrediff import embeddings, timbre
-from timbrediff.csvrows import read_columns
 from timbrediff.dataset import (
     GROUND_TRUTH_CSV_HEADER,
     MANIFEST_CSV_HEADER,
@@ -21,14 +20,20 @@ from timbrediff.dataset import (
     read_ground_truth_csv,
 )
 from timbrediff.detector import RESULTS_CSV_HEADER, read_results_csv
-from timbrediff.embeddings import TdceError, read_tdce
+from timbrediff.embeddings import (
+    DistanceKind,
+    Embedding,
+    NormalizationStats,
+    TdceError,
+    read_tdce,
+)
 from timbrediff.frontend import WavError, load_wav
-from timbrediff.timbre import TIMBRE_CSV_HEADER, read_timbre_table
+from timbrediff.store import load_model, save_model
+from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, read_timbre_table
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
-LOW_FIELD_LIMIT = 64
-LONG = "9" * (LOW_FIELD_LIMIT + 1)  # one field over the lowered csv.field_size_limit()
+LONG = "9" * 65                 # a field longer than the others
 
 # Field values that reach each reader's parsing and validation branches.
 TOKENS = ["", "a", "b", "0", "1", "-1", "0.5", "2", "1e999", "nan", "-0", "x y",
@@ -122,98 +127,64 @@ def test_tdce_reader(tmp_path_factory, payload, sidecar):
         assert str(exc).startswith((f"{path}: ", f"{ids}: ")), exc
 
 
-# Rows that a reader accepts now and then, so that both paths get to the end.
-IDS = ["a", "b", "é", " a", "a ", "x y", "\x85", "\u2028", "\x0c", '"a"', "a\x00", LONG]
-GOOD_NUMBERS = st.sampled_from(["0.5", "1", " 1", "0.5 ", "1e-3", "+1", "0.25"])
-NUMBERS = st.one_of(GOOD_NUMBERS, GOOD_NUMBERS, GOOD_NUMBERS,
-                    st.sampled_from(["0", "-0", "2", "1_0", "inf", "nan", "x", "", LONG]))
-timbre_rows = st.lists(st.one_of(*[st.tuples(st.sampled_from(IDS), *[NUMBERS] * 5).map(list)] * 3,
-                                 token_row), max_size=5)
-sidecar_rows = st.one_of(
-    st.lists(st.sampled_from(IDS), max_size=5).map(
-        lambda ids: [[str(i), cid] for i, cid in enumerate(ids)]),
-    st.lists(st.one_of(st.tuples(st.sampled_from(["0", "1", "2", " 0", "00", LONG]),
-                                 st.sampled_from(IDS)).map(list), token_row), max_size=5))
-BULK_FUZZ = settings(FUZZ, max_examples=400)
+def npy_bytes(descr, fortran_order, shape, payload):
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, {"descr": descr, "fortran_order": fortran_order,
+                                                "shape": shape})
+    return head.getvalue() + payload
 
 
-@contextmanager
-def field_size_limit(limit):
-    old = csv.field_size_limit(limit or csv.field_size_limit())
-    try:
-        yield
-    finally:
-        csv.field_size_limit(old)
+MODEL_ROWS = 3
+# MODEL_ROWS rows of 0.5, with one value perhaps out of some attribute's
+# range or not finite, and a few values perhaps cut or added.
+TIMBRE_PAYLOADS = st.builds(
+    lambda i, value, extra: struct.pack(f"<{5 * MODEL_ROWS + extra}d", *(
+        [0.5] * i + [value] + [0.5] * (5 * MODEL_ROWS + extra - i - 1))),
+    st.integers(0, 5 * MODEL_ROWS - 3), st.sampled_from([0.5, 0.0, 1.5, -1.0, float("nan")]),
+    st.sampled_from([0, 0, 0, -2, 2]))
+NPYS = st.builds(npy_bytes, st.sampled_from(["<f8", "<f8", ">f8", "<f4", "|O", "<U3", "|b1"]),
+                 st.booleans(),
+                 st.sampled_from([(MODEL_ROWS, 5), (MODEL_ROWS, 5), (5, MODEL_ROWS),
+                                  (MODEL_ROWS,), (), (0, 5), (4, 5), (2 ** 40, 5)]),
+                 st.one_of(TIMBRE_PAYLOADS, st.binary(max_size=160)))
+ID_VALUES = st.one_of(st.sampled_from(["c0", "c1", "c2", "c0"]), st.text(max_size=3),
+                      st.integers(), st.none(), st.lists(st.text(max_size=2), max_size=2))
+CLIP_IDS = st.one_of(st.binary(max_size=60),
+                     st.permutations(["c0", "c1", "c2", "c'\n\"\u00e9"]).map(
+                         lambda ids: json.dumps(ids[:MODEL_ROWS]).encode()),
+                     st.lists(ID_VALUES, max_size=5).map(lambda ids: json.dumps(ids).encode()),
+                     st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2).map(
+                         lambda d: json.dumps(d).encode()))
 
 
-def outcome(read, path, module, bulk):
-    """What `read` makes of `path`: (ids, array bits) or (error type, message).
-    Without `bulk`, `module`'s read_columns declines every file, so that
-    `read` goes row by row: read_rows with a per-row parse."""
-    declined = mock.patch.object(module, "read_columns", lambda *args, **kwargs: None)
-    with nullcontext() if bulk else declined:
-        try:
-            ids, values = read(path)
-        except ValueError as exc:
-            return type(exc), str(exc)
-    return ids, values.dtype, values.shape, values.flags.c_contiguous, values.tobytes()
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    model_dir = tmp_path_factory.mktemp("model") / "m"
+    ids = [f"c{i}" for i in range(MODEL_ROWS)]
+    save_model(model_dir, [Embedding(np.full(2, i + 1.0), "spectral", cid)
+                           for i, cid in enumerate(ids)],
+               [(cid, TimbreVector(1.0, 0.5, 0.5, 100.0, 0.5)) for cid in ids],
+               NormalizationStats(np.zeros(2), np.ones(2)), DistanceKind.EUCLIDEAN, k=1, t=0.1)
+    return model_dir
 
 
-def check_bulk_path(read, path, module, table, header):
-    content = table.read_bytes()
-    if b'"' in content or b"\0" in content:     # csv.reader unquotes; 3.10 stops at NUL
-        assert read_columns(table, header) is None
-    assert outcome(read, path, module, True) == outcome(read, path, module, False)
+@pytest.mark.parametrize("name,contents", [
+    ("timbre.npy", st.one_of(st.binary(max_size=200), NPYS,
+                             NPYS.flatmap(lambda b: st.integers(0, len(b)).map(lambda n: b[:n])))),
+    ("clip_ids.json", CLIP_IDS),
+], ids=["timbre_npy", "clip_ids_json"])
+def test_model_array_readers(small_model, tmp_path_factory, name, contents):
+    # Any timbre.npy or clip_ids.json loads or fails naming that file.
+    model_dir = tmp_path_factory.mktemp("fuzz") / "m"
+    shutil.copytree(small_model, model_dir)
+    path = model_dir / name
 
-
-LIMITS = pytest.mark.parametrize("limit", [None, LOW_FIELD_LIMIT],
-                                 ids=["default_field_limit", "low_field_limit"])
-GOOD_ROW = "a,0.5,1,0.25,1,0.5"
-
-
-@LIMITS
-def test_bulk_timbre_reader_matches_row_wise(tmp_path_factory, limit):
-    path = tmp_path_factory.mktemp("bulk") / "timbre.csv"
-    header = ",".join(TIMBRE_CSV_HEADER)
-
-    @BULK_FUZZ
-    @given(content=csv_bytes(TIMBRE_CSV_HEADER, timbre_rows))
-    @example(content=f"{header}\r\n{GOOD_ROW}\r\nb, 1 ,1_0,1,inf,1\r\n".encode())
-    @example(content=f"{header}\n{GOOD_ROW}\rb,1,1, 0.5,1_0,1 \r\nc,1,1,1,1,1".encode())
-    @example(content=f"{header}\r\n\"a\",0.5,1,0.25,1,0.5\r\n".encode())
-    @example(content=f"{header}\r\na\0,0.5,1,0.25,1,0.5\r\n".encode())
-    @example(content=f"{header}\n{LONG},1,1,1,1,1\n".encode())
-    @example(content=f"{header}\r\n{GOOD_ROW}\r\r\n".encode())
-    @example(content=f"{header}\na,1,1,0.5,1\n0.5,b,1,1,0.5,1,0.5\n".encode())
+    @FUZZ
+    @given(content=contents)
     def run(content):
-        path.write_bytes(content)
-        check_bulk_path(read_timbre_table, path, timbre, path, TIMBRE_CSV_HEADER)
+        check_reader(model_dir, name, content, load_model, ValueError)
 
-    with field_size_limit(limit):
-        run()
-
-
-@LIMITS
-def test_bulk_sidecar_reader_matches_row_wise(tmp_path_factory, limit):
-    tmp_path = tmp_path_factory.mktemp("bulk")
-    path, ids = tmp_path / "emb.tdce", tmp_path / "emb.tdce.ids.csv"
-
-    @BULK_FUZZ
-    @given(sidecar=csv_bytes(["row", "clip_id"], sidecar_rows), count=st.integers(0, 5))
-    @example(sidecar=b"row,clip_id\r\n0,a\r\n1, b \r\n", count=2)
-    @example(sidecar=b"row,clip_id\n0,a\r1,\x85\r\n2,\xc3\xa9", count=3)
-    @example(sidecar=b'row,clip_id\r\n0,"a,b"\r\n', count=1)
-    @example(sidecar=b"row,clip_id\r\n0,a\0\r\n", count=1)
-    @example(sidecar=b"row,clip_id\r\n0,a\r\n1,a\r\n", count=2)
-    @example(sidecar=b"row,clip_id\r\n0,a\r\r\n", count=1)
-    @example(sidecar=b"row,clip_id\n0,a,1\nb\n", count=2)
-    def run(sidecar, count):
-        path.write_bytes(struct.pack(f"<4sIII{count}f", b"TDCE", 1, 1, count, *range(count)))
-        ids.write_bytes(sidecar)
-        check_bulk_path(read_tdce, path, embeddings, ids, ["row", "clip_id"])
-
-    with field_size_limit(limit):
-        run()
+    run()
 
 
 def wav_chunk(chunk_id, body):

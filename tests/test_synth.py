@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,25 @@ class TestGenerateDataset:
         for pa, pb in zip(files_a, files_b):
             if pa.is_file():
                 assert pa.read_bytes() == pb.read_bytes(), pa.name
+
+    @pytest.mark.parametrize("case,message", [
+        ("negative_train", "per-condition counts must be >= 0, got -1 train and 1 test"),
+        ("negative_test", "per-condition counts must be >= 0, got 1 train and -2 test"),
+        ("repeated_cause", "repeated cause ids: ['buzz']"),
+        ("repeated_condition", "repeated condition ids: ['slow']"),
+    ])
+    def test_rejects_before_any_file(self, tmp_path, case, message):
+        # A repeated id would write a manifest that load_manifest rejects.
+        conditions, causes = default_benchmark_specs()
+        buzz = next(c for c in causes if c.cause_id == "buzz")
+        slow = next(c for c in conditions if c.condition_id == "slow")
+        args = {"negative_train": (conditions, causes, -1, 1),
+                "negative_test": (conditions, causes, 1, -2),
+                "repeated_cause": (conditions, (buzz, buzz), 1, 1),
+                "repeated_condition": ((slow, slow), causes, 1, 1)}[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_dataset(*args, 3, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
     def test_specs_json_written(self, tmp_path):
         import json
