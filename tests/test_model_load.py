@@ -8,6 +8,7 @@ import json
 import re
 import shutil
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,14 +99,11 @@ def test_load_model_reads_no_export(bulk_model, tmp_path):
 
 def test_load_model_scans_the_embeddings_once(bulk_model):
     # One scan of the per-row sums, and no [N x D] mask.
-    with pytest.MonkeyPatch.context() as patch:
-        calls = []
-        isfinite = np.isfinite
-        patch.setattr(np, "isfinite", lambda a, *args, **kwargs: (
-            calls.append(np.shape(a)), isfinite(a, *args, **kwargs))[1])
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
         ref, _ = load_model(bulk_model)
-    assert ref.embeddings.shape not in calls
-    assert calls.count((BULK_ROWS,)) == 1
+    shapes = [np.shape(call.args[0]) for call in isfinite.call_args_list]
+    assert ref.embeddings.shape not in shapes
+    assert shapes.count((BULK_ROWS,)) == 1
 
 
 def test_format_1_directory_is_refused(bulk_model, tmp_path):
