@@ -10,7 +10,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from . import __version__
 from .dataset import (
     DEFAULT_T_PRIME,
-    GroundTruthError,
     ManifestError,
     generate_ground_truth,
     ground_truth_statistics,
@@ -42,14 +40,13 @@ from .embeddings import (
     TIMBRE_PROVIDER,
     DistanceKind,
     Embedding,
-    TdceError,
     fit_normalization,
     read_tdce,
     spectral_features,
 )
-from .evaluation import CoverageError, build_report, write_report_json
+from .evaluation import build_report, write_report_json
 from .frontend import CANONICAL_RATE, WavError, load_wav, resample, stft_power
-from .store import CONFIG_NAME, ModelDirectoryError, load_model, read_config, save_model
+from .store import CONFIG_NAME, load_model, read_config, save_model, stored_precision
 from .synth import default_benchmark_specs, generate_dataset
 from .timbre import MIN_ROUGHNESS_DURATION, N_ATTRIBUTES, TimbreVector, compute_timbre_vector
 
@@ -62,8 +59,7 @@ DEFAULT_DISTANCE = {
     EXTERNAL_PROVIDER: DistanceKind.COSINE,
 }
 
-_CLI_ERRORS = (WavError, ManifestError, GroundTruthError, CoverageError,
-               TdceError, ModelDirectoryError, ValueError, OSError)
+_CLI_ERRORS = (WavError, ValueError, OSError)   # the package's other input errors are ValueErrors
 
 
 # _analyse gives each worker process at least this many clips.  On a 2-core
@@ -78,19 +74,12 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _stored_precision(values: np.ndarray) -> np.ndarray:
-    # Query features must match the precision of the persisted reference
-    # set (9 significant digits in timbre.csv, float32 in embeddings.tdce),
-    # otherwise a clip scored against itself would not tie exactly.
-    return np.array([float(f"{v:.9g}") for v in values.flat]).reshape(values.shape)
-
-
-def _check_option(option: str, check, *values) -> None:
-    """check(*values), its ValueError prefixed with the option's name."""
+def _check_option(option, check, *values) -> None:
+    """check(*values), its ValueError prefixed with `option`, a name or a file, if given."""
     try:
         check(*values)
     except ValueError as exc:
-        raise ValueError(f"{option}: {exc}") from None
+        raise ValueError(f"{option}: {exc}" if option else str(exc)) from None
 
 
 def _analyse_clip(path, provider):
@@ -240,7 +229,7 @@ def cmd_fit(args) -> int:
     clip_ids, timbre, raw = _analyse(args, train, args.provider)
     stats = fit_normalization(raw)
     embeddings = [Embedding(z, args.provider, cid)
-                  for cid, z in zip(clip_ids, (raw - stats.mean) / stats.std)]
+                  for cid, z in zip(clip_ids, stats.zscore(raw))]
     timbre_rows = [(cid, TimbreVector.from_array(row)) for cid, row in zip(clip_ids, timbre)]
     distance = (DistanceKind.parse(args.distance) if args.distance
                 else DEFAULT_DISTANCE[args.provider])
@@ -256,35 +245,24 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_score(args) -> int:
-    # Options are checked against config.json before any clip is decoded.
+    # Every setting is settled before any clip is decoded; only the model's own k names a file.
     config = read_config(args.model)
-    if args.k is not None:
-        check_k(args.k, config["count"])
-    k = args.k if args.k is not None else config["k"]
-    t = args.t if args.t is not None else config["t"]
-    check_t(t)
-    provider = config["provider"]
+    config.update((key, value) for key, value in
+                  (("k", args.k), ("t", args.t), ("distance", args.distance)) if value is not None)
+    where = Path(args.model) / CONFIG_NAME if args.k is None else None
+    _check_option(where, check_k, config["k"], config["count"])
+    check_t(config["t"])
 
     tests = [e for e in load_manifest(args.manifest) if e.split == "test"]
     loaded = []                 # [ReferenceSet, config], read while the workers decode
-    clip_ids, timbre, raw = _analyse(args, tests, provider,
+    clip_ids, timbre, raw = _analyse(args, tests, config["provider"],
                                      lambda: loaded.extend(load_model(args.model, config)))
     ref = loaded[0]
-    if args.distance:
-        ref = replace(ref, distance_kind=DistanceKind.parse(args.distance),
-                      embeddings_checked=True)
-    if args.k is None:          # the model's k, checked after a bad clip is named
-        try:
-            check_k(k, ref.size)
-        except ValueError as exc:
-            raise ValueError(f"{Path(args.model) / CONFIG_NAME}: {exc}") from None
-    norm = ref.normalization    # z-scored, then float32 like embeddings.tdce
-    z32 = ((raw - norm.mean) / norm.std).astype("<f4").astype(np.float64)
-    results = score_clips(ref, clip_ids, z32, _stored_precision(timbre), k=k, t=t,
-                          baseline=args.baseline)
+    results = score_clips(ref, clip_ids, *stored_precision(ref.normalization, raw, timbre),
+                          config["k"], config["t"], baseline=args.baseline)
 
     write_results_csv(args.out, results)
-    _log(f"score: {len(results)} test clips, k={k}, t={t}, "
+    _log(f"score: {len(results)} test clips, k={config['k']}, t={config['t']}, "
          f"baseline={args.baseline or 'knn'}, results at {args.out}")
     return 0
 

@@ -29,6 +29,7 @@ STD_FLOOR = 1e-9
 
 TDCE_MAGIC = b"TDCE"
 TDCE_VERSION = 1
+TDCE_DTYPE = np.dtype("<f4")    # a stored row's precision: little-endian float32
 _TDCE_HEADER = struct.Struct("<4sIII")  # magic, version, dim, count
 _IDS_HEADER = ["row", "clip_id"]
 _WRITE_BLOCK_ROWS = 4096        # about 1.3 MB of float32 at 80 dims
@@ -83,6 +84,10 @@ class NormalizationStats:
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    def zscore(self, raw) -> np.ndarray:
+        """[N x D] raw features as z-scores: the rows fit stores and score queries with."""
+        return (raw - self.mean) / self.std
 
 
 def fit_normalization(data) -> NormalizationStats:
@@ -179,7 +184,7 @@ def write_embeddings(path, clip_ids, vectors) -> None:
         fh.write(_TDCE_HEADER.pack(TDCE_MAGIC, TDCE_VERSION, dim, count))
         for start in range(0, count, _WRITE_BLOCK_ROWS):
             with np.errstate(over="ignore"):    # beyond float32's range is inf, caught below
-                block = np.ascontiguousarray(vectors[start:start + _WRITE_BLOCK_ROWS], "<f4")
+                block = np.ascontiguousarray(vectors[start:start + _WRITE_BLOCK_ROWS], TDCE_DTYPE)
             if block.ndim != 2 or block.shape[1] != dim:
                 raise ValueError(f"{path}: embedding rows from {start} are not "
                                  f"{dim}-dimensional, got shape {block.shape}")
@@ -215,7 +220,7 @@ def read_tdce_rows(path) -> np.ndarray:
         raise TdceError(f"{path}: truncated payload ({payload} bytes, expected {expected})")
     if payload > expected:
         raise TdceError(f"{path}: {payload - expected} trailing bytes")
-    return np.fromfile(path, "<f4", count * dim, offset=_TDCE_HEADER.size).reshape(count, dim)
+    return np.fromfile(path, TDCE_DTYPE, count * dim, offset=_TDCE_HEADER.size).reshape(count, dim)
 
 
 def read_tdce(path):

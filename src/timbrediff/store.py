@@ -3,6 +3,8 @@
 load_model reads a format-2 directory's config.json, embeddings.tdce, clip_ids.json,
 timbre.npy and normalization.json, and parses no row from text.  timbre.csv and the TDCE
 id sidecar are exports only; format 1 had only those.  Every write goes through replacing.
+Precision: rows hold float32 embeddings and timbre values as their 9-digit text reads back, and
+stored_precision alone brings queries there, so that a training clip ties with its own row.
 """
 
 import json
@@ -19,6 +21,7 @@ from .detector import ReferenceSet, check_t
 from .embeddings import (
     EXTERNAL_PROVIDER,
     SPECTRAL_PROVIDER,
+    TDCE_DTYPE,
     TIMBRE_PROVIDER,
     DistanceKind,
     NormalizationStats,
@@ -31,6 +34,7 @@ from .timbre import (
     N_ATTRIBUTES,
     TIMBRE_CSV_HEADER,
     check_timbre_table,
+    csv_texts,
     timbre_csv_rows,
 )
 
@@ -101,6 +105,13 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     write_json(model_dir / NORMALIZATION_NAME, {"mean": normalization.mean.tolist(),
                                                 "std": normalization.std.tolist()})
     write_json(model_dir / CONFIG_NAME, config)
+
+
+def stored_precision(normalization, raw, timbre):
+    """[Q x D] raw features z-scored and [Q x 5] timbre values, copied at the rows' precision."""
+    timbre = np.array(timbre, dtype=np.float64)
+    csv_texts(timbre)
+    return np.asarray(normalization.zscore(raw), TDCE_DTYPE).astype(np.float64), timbre
 
 
 def read_config(model_dir) -> dict:

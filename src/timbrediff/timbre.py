@@ -202,14 +202,19 @@ def check_timbre_table(path, clip_ids, values, first_row=2) -> np.ndarray:
     return values
 
 
+def csv_texts(rows) -> list:
+    """Each column of [n x 5] `rows` as 9-digit text; each value becomes what it reads back as."""
+    texts = [list(map("%.9g".__mod__, column)) for column in rows.T]
+    for column, text in zip(rows.T, texts):
+        column[:] = np.fromiter(map(float, text), np.float64, len(text))
+    return texts
+
+
 def timbre_csv_rows(clip_ids, values):
     """CSV rows of clip ids and check_timbre_table's [N x 5] values at 9 significant digits,
     made _CSV_BLOCK_ROWS at a time; each value is overwritten by what its text reads back as."""
     for start in range(0, len(clip_ids), _CSV_BLOCK_ROWS):
-        rows = values[start:start + _CSV_BLOCK_ROWS]
-        texts = [list(map("%.9g".__mod__, column)) for column in rows.T]
-        for column, text in zip(rows.T, texts):
-            column[:] = np.fromiter(map(float, text), np.float64, len(text))
+        texts = csv_texts(values[start:start + _CSV_BLOCK_ROWS])
         yield from zip(clip_ids[start:start + _CSV_BLOCK_ROWS], *texts)
 
 

@@ -17,8 +17,8 @@ import timbrediff
 from timbrediff import cli, frontend
 from timbrediff.cli import main
 from timbrediff.dataset import load_manifest
-from timbrediff.detector import read_results_csv
-from timbrediff.embeddings import import_embeddings, write_embeddings
+from timbrediff.detector import ReferenceSet, read_results_csv
+from timbrediff.embeddings import DistanceKind, import_embeddings, write_embeddings
 from timbrediff.frontend import AudioClip, save_wav
 from timbrediff.store import ModelDirectoryError, load_model
 from timbrediff.synth import default_benchmark_specs, generate_dataset
@@ -315,6 +315,58 @@ class TestScoreCommand:
         result = read_results_csv(out)[0]
         assert result.anomaly_score == 0.0
         assert np.all(result.attribute_labels == 0)
+
+    @pytest.mark.parametrize("provider", ["spectral", "timbre"])
+    def test_copies_of_training_clips_match_themselves(self, tiny_dataset, fitted, tmp_path,
+                                                       provider):
+        # Each query is brought to the stored rows' precision, so a copy of a
+        # training clip ties with its own row: distance 0 and every rank 0.5.
+        model = fitted
+        if provider == "timbre":
+            model = tmp_path / "m"
+            assert run("fit", "--manifest", tiny_dataset / "manifest.csv", "--audio-root",
+                       tiny_dataset, "--provider", "timbre", "--k", "5", "--out", model) == 0
+        train = [e for e in load_manifest(tiny_dataset / "manifest.csv") if e.split == "train"]
+        manifest = tmp_path / "copies.csv"
+        manifest.write_text("clip_id,path,split,state,condition,cause,domain\n" + "".join(
+            f"copy_{e.clip_id},{e.path},test,normal,{e.condition_id},,source\n" for e in train))
+        out = tmp_path / "copies_results.csv"
+        assert run("score", "--model", model, "--manifest", manifest,
+                   "--audio-root", tiny_dataset, "--out", out, "--k", "1") == 0
+        results = read_results_csv(out)
+        assert len(results) == len(train) == 18
+        for result in results:
+            assert result.anomaly_score == 0.0
+            assert np.all(result.attribute_scores == 0.5)
+            assert np.all(result.attribute_labels == 0)
+
+    @pytest.mark.parametrize("baseline", [[], ["--baseline", "global"]], ids=["knn", "global"])
+    def test_overrides_score_as_a_model_fitted_with_them(self, tiny_dataset, fitted, tmp_path,
+                                                         baseline):
+        common = ["--manifest", tiny_dataset / "manifest.csv", "--audio-root", tiny_dataset]
+        settings = ["--k", "3", "--t", "0.2", "--distance", "cosine"]
+        model = tmp_path / "m"
+        assert run("fit", *common, "--provider", "spectral", *settings, "--out", model) == 0
+        assert run("score", "--model", model, *common, *baseline,
+                   "--out", tmp_path / "fitted.csv") == 0
+        assert run("score", "--model", fitted, *common, *settings, *baseline,
+                   "--out", tmp_path / "overridden.csv") == 0
+        assert (tmp_path / "fitted.csv").read_bytes() == (tmp_path / "overridden.csv").read_bytes()
+
+    def test_distance_override_builds_one_reference_set(self, tiny_dataset, fitted, tmp_path,
+                                                        monkeypatch):
+        built = []
+        post_init = ReferenceSet.__post_init__
+
+        def spy(ref, embeddings_checked):
+            built.append(ref.distance_kind)
+            post_init(ref, embeddings_checked)
+
+        monkeypatch.setattr(ReferenceSet, "__post_init__", spy)
+        assert run("score", "--model", fitted, "--manifest", tiny_dataset / "manifest.csv",
+                   "--audio-root", tiny_dataset, "--out", tmp_path / "r.csv",
+                   "--distance", "cosine") == 0
+        assert built == [DistanceKind.COSINE]
 
     def test_k_larger_than_train_fails(self, tiny_dataset, fitted, tmp_path,
                                        capsys):
@@ -713,6 +765,22 @@ def test_config_k_above_rows_names_config(tiny_dataset, model_copy, capsys, tmp_
     edit_json(model_copy / "config.json", "k", 30)      # k = 30 over 18 rows
     assert run("score", "--model", model_copy, "--manifest", tiny_dataset / "manifest.csv",
                "--audio-root", tiny_dataset, "--out", tmp_path / "r.csv") == 1
+    assert capsys.readouterr().err == (
+        f"error: {model_copy / 'config.json'}: k must satisfy 1 <= k <= 18, got 30\n")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_config_k_above_rows_wins_over_a_clip_error(tiny_dataset, model_copy, capsys, tmp_path,
+                                                    usable_cpus, cpus):
+    # The model's own k is a setting like the others: it fails before any clip is decoded.
+    usable_cpus(cpus)
+    root = tmp_path / "data"
+    shutil.copytree(tiny_dataset, root)
+    test_clip = next(e for e in load_manifest(root / "manifest.csv") if e.split == "test")
+    (root / test_clip.path).write_bytes(b"not a wav")
+    edit_json(model_copy / "config.json", "k", 30)      # k = 30 over 18 rows
+    assert run("score", "--model", model_copy, "--manifest", root / "manifest.csv",
+               "--audio-root", root, "--out", tmp_path / "r.csv") == 1
     assert capsys.readouterr().err == (
         f"error: {model_copy / 'config.json'}: k must satisfy 1 <= k <= 18, got 30\n")
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -146,6 +147,31 @@ class TestBatchedSearch:
         order = np.argsort(full, kind="stable")[:k]
         np.testing.assert_array_equal(indices[0], order)
         assert distances[0].tobytes() == full[order].tobytes()
+
+    def test_spread_covers_the_largest_row_norm(self):
+        # einsum adds a row's squares in a few running sums, so each 0.81
+        # added to a sum near 1e16 (ulp 2) is lost: the Gram centre of
+        # `lossy` comes out about 400 below its exact 1e16 + 241, under
+        # `near`'s exact 1e16 + 1, and distances_to's pairwise sum keeps the
+        # true order.  Only a spread sized by the largest row norm, not by the
+        # query's own row (norm 1), keeps `near` for the rescore.
+        dim = 1024
+        query = np.zeros(dim)
+        query[-1] = 1.0
+        near = np.zeros(dim)
+        near[0] = 1e8
+        lossy = np.full(dim, 0.9)
+        lossy[-1] = 0.0
+        lossy[0] = np.sqrt(1e16 - (dim - 2) * 0.81 + 240)
+        rows = np.array([query, near, lossy])
+        exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, query))
+                 for row in rows]
+        assert exact[0] < exact[1] < exact[2]
+        full = distances_to(rows, query, DistanceKind.EUCLIDEAN)
+        np.testing.assert_array_equal(np.argsort(full, kind="stable"), [0, 1, 2])
+        indices, distances = knn(make_ref(rows), query[None, :], 2)
+        np.testing.assert_array_equal(indices[0], [0, 1])
+        assert distances[0].tobytes() == full[:2].tobytes()
 
     def test_filter_keeps_few_rows(self):
         # Continuous data has no ties: the bounds are ~1e-13 relative, so
