@@ -46,7 +46,7 @@ from .embeddings import (
 )
 from .evaluation import build_report, write_report_json
 from .frontend import CANONICAL_RATE, WavError, load_wav, resample, stft_power
-from .store import CONFIG_NAME, load_model, read_config, save_model, stored_precision
+from .store import CONFIG_NAME, load_model, read_config, save_model
 from .synth import default_benchmark_specs, generate_dataset
 from .timbre import MIN_ROUGHNESS_DURATION, N_ATTRIBUTES, TimbreVector, compute_timbre_vector
 
@@ -258,7 +258,7 @@ def cmd_score(args) -> int:
     clip_ids, timbre, raw = _analyse(args, tests, config["provider"],
                                      lambda: loaded.extend(load_model(args.model, config)))
     ref = loaded[0]
-    results = score_clips(ref, clip_ids, *stored_precision(ref.normalization, raw, timbre),
+    results = score_clips(ref, clip_ids, ref.normalization.zscore(raw), timbre,
                           config["k"], config["t"], baseline=args.baseline)
 
     write_results_csv(args.out, results)

@@ -86,8 +86,10 @@ class NormalizationStats:
         return self.mean.size
 
     def zscore(self, raw) -> np.ndarray:
-        """[N x D] raw features as z-scores: the rows fit stores and score queries with."""
-        return (raw - self.mean) / self.std
+        """[N x D] raw features as z-scores at a stored row's precision (TDCE_DTYPE), in
+        float64: the rows fit stores and score queries with.  Beyond float32's range is inf."""
+        with np.errstate(over="ignore"):
+            return ((raw - self.mean) / self.std).astype(TDCE_DTYPE).astype(np.float64)
 
 
 def fit_normalization(data) -> NormalizationStats:

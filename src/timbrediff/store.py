@@ -3,8 +3,8 @@
 load_model reads a format-2 directory's config.json, embeddings.tdce, clip_ids.json,
 timbre.npy and normalization.json, and parses no row from text.  timbre.csv and the TDCE
 id sidecar are exports only; format 1 had only those.  Every write goes through replacing.
-Precision: rows hold float32 embeddings and timbre values as their 9-digit text reads back, and
-stored_precision alone brings queries there, so that a training clip ties with its own row.
+Precision: rows hold NormalizationStats.zscore's float32 z-scores and the analysed timbre values,
+so a query made the same way ties with its own training row.
 """
 
 import json
@@ -21,7 +21,6 @@ from .detector import ReferenceSet, check_t
 from .embeddings import (
     EXTERNAL_PROVIDER,
     SPECTRAL_PROVIDER,
-    TDCE_DTYPE,
     TIMBRE_PROVIDER,
     DistanceKind,
     NormalizationStats,
@@ -34,7 +33,6 @@ from .timbre import (
     N_ATTRIBUTES,
     TIMBRE_CSV_HEADER,
     check_timbre_table,
-    csv_texts,
     timbre_csv_rows,
 )
 
@@ -57,9 +55,9 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
                k: int, t: float) -> None:
     """Persist a fitted model; timbre_rows is an ordered (clip_id, vector) list.
 
-    Every check runs before the first file is replaced: the ids, the
-    dimension and the timbre rows here, and each block of float32 rows as
-    write_embeddings streams it.  A failed save leaves the old model whole.
+    Every check runs before the first file is replaced: the ids and the
+    dimension here, each TimbreVector as it was built, and each block of float32
+    rows as write_embeddings streams it.  A failed save leaves the old model whole.
     """
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
@@ -74,7 +72,6 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     fields = attrgetter(*ATTRIBUTE_NAMES)   # a TimbreVector's values, as_array's order
     timbre = np.fromiter(chain.from_iterable(fields(vec) for _, vec in timbre_rows), np.float64,
                          N_ATTRIBUTES * len(timbre_rows)).reshape(-1, N_ATTRIBUTES)
-    check_timbre_table(model_dir / TIMBRE_NAME, clip_ids, timbre)
     vectors = [e.vector for e in embeddings]
     config = {
         "format": MODEL_FORMAT,
@@ -91,7 +88,7 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     del embeddings, timbre_rows     # our copies: only ids, vectors and blocks stay
 
     # Until the embeddings are in, the other files wait in `.tmp`s: a bad block leaves
-    # the old model whole.  The CSV rows round `timbre` in place; timbre.npy keeps that.
+    # the old model whole.
     with replacing(model_dir / TIMBRE_NAME) as staged, \
             replacing(model_dir / TIMBRE_ARRAY_NAME, "wb") as npy, \
             replacing(model_dir / CLIP_IDS_NAME) as ids_json:
@@ -105,13 +102,6 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     write_json(model_dir / NORMALIZATION_NAME, {"mean": normalization.mean.tolist(),
                                                 "std": normalization.std.tolist()})
     write_json(model_dir / CONFIG_NAME, config)
-
-
-def stored_precision(normalization, raw, timbre):
-    """[Q x D] raw features z-scored and [Q x 5] timbre values, copied at the rows' precision."""
-    timbre = np.array(timbre, dtype=np.float64)
-    csv_texts(timbre)
-    return np.asarray(normalization.zscore(raw), TDCE_DTYPE).astype(np.float64), timbre
 
 
 def read_config(model_dir) -> dict:
@@ -135,14 +125,18 @@ def read_config(model_dir) -> dict:
             raise ValueError(f"unknown provider {config['provider']!r}")
         if not all(type(config[key]) is int and config[key] >= 0 for key in ("count", "dim")):
             raise ValueError("count and dim must be whole numbers")
-        config.update(k=int(config["k"]), t=float(config["t"]))
+        if type(config["k"]) is not int:
+            raise ValueError(f"k must be a whole number, got {config['k']!r}")
+        if type(config["t"]) not in (int, float):
+            raise ValueError(f"t must be a number, got {config['t']!r}")
+        config["t"] = float(config["t"])
         if config["k"] < 1:     # k <= count is checked where k is used
             raise ValueError(f"k must be at least 1, got {config['k']}")
         check_t(config["t"])
         DistanceKind.parse(config["distance"])
     except ModelDirectoryError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelDirectoryError(f"{config_path}: {exc}") from None
     return config
 
@@ -180,14 +174,17 @@ def load_model(model_dir, config=None):
             raise ValueError(f"expected float64 timbre values, got {timbre.dtype}")
     except ValueError as exc:
         raise ModelDirectoryError(f"{timbre_path}: {exc}") from None
-    timbre = check_timbre_table(timbre_path, ids, np.array(timbre, order="C"), first_row=0)
+    timbre = check_timbre_table(timbre_path, ids, np.array(timbre, order="C"))
     try:
         with open(norm_path) as fh:
             norm_data = json.load(fh)
         if not isinstance(norm_data, dict) or not {"mean", "std"} <= norm_data.keys():
             raise ValueError("needs keys 'mean' and 'std'")
+        for key in ("mean", "std"):     # type(True) is bool: JSON true is no number
+            if type(norm_data[key]) is not list or {*map(type, norm_data[key])} - {int, float}:
+                raise ValueError(f"{key} must be a list of numbers")
         normalization = NormalizationStats(norm_data["mean"], norm_data["std"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelDirectoryError(f"{norm_path}: {exc}") from None
     if normalization.dim != dim:
         raise ModelDirectoryError(f"{model_dir}: {NORMALIZATION_NAME} dim {normalization.dim}"

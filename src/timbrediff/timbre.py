@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .csvrows import read_rows, write_rows
+from .csvrows import read_rows
 from .frontend import (
     ENVELOPE_MOD_HZ,
     AudioClip,
@@ -34,7 +34,6 @@ MIN_ROUGHNESS_DURATION = 0.25   # seconds
 
 TIMBRE_CSV_HEADER = ["clip_id", "sharpness", "roughness", "boominess",
                      "brightness", "depth"]
-_CSV_BLOCK_ROWS = 256           # about 80 KB of value text at a time
 
 
 class SilentClipError(ValueError):
@@ -186,43 +185,24 @@ def compute_timbre_vector(clip: AudioClip, spec: Spectrogram = None) -> TimbreVe
 
 
 # ---------------------------------------------------------------------------
-# CSV export
+# Timbre tables: the model array's check and the CSV export
 # ---------------------------------------------------------------------------
 
-def check_timbre_table(path, clip_ids, values, first_row=2) -> np.ndarray:
-    """[N x 5] float64 values checked as TimbreVector; a bad row fails named in `path`
-    by its number from `first_row`: 2 under a CSV header (read_timbre_table's), 0 in an array."""
+def check_timbre_table(path, clip_ids, values) -> np.ndarray:
+    """[N x 5] float64 values checked as TimbreVector; an error names `path` and the row from 0."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (len(clip_ids), N_ATTRIBUTES):
         raise ValueError(f"{path}: expected [{len(clip_ids)} x {N_ATTRIBUTES}] timbre values, "
                          f"got shape {values.shape}")
     problem = _timbre_violation(values)
     if problem is not None:
-        raise ValueError(f"{path}: row {problem[0] + first_row}: {problem[1]}")
+        raise ValueError(f"{path}: row {problem[0]}: {problem[1]}")
     return values
 
 
-def csv_texts(rows) -> list:
-    """Each column of [n x 5] `rows` as 9-digit text; each value becomes what it reads back as."""
-    texts = [list(map("%.9g".__mod__, column)) for column in rows.T]
-    for column, text in zip(rows.T, texts):
-        column[:] = np.fromiter(map(float, text), np.float64, len(text))
-    return texts
-
-
 def timbre_csv_rows(clip_ids, values):
-    """CSV rows of clip ids and check_timbre_table's [N x 5] values at 9 significant digits,
-    made _CSV_BLOCK_ROWS at a time; each value is overwritten by what its text reads back as."""
-    for start in range(0, len(clip_ids), _CSV_BLOCK_ROWS):
-        texts = csv_texts(values[start:start + _CSV_BLOCK_ROWS])
-        yield from zip(clip_ids[start:start + _CSV_BLOCK_ROWS], *texts)
-
-
-def write_timbre_csv(path, clip_ids, values) -> None:
-    """Write clip ids and their [N x 5] values, checked by check_timbre_table
-    before the file is touched; values keep 9 significant digits."""
-    values = check_timbre_table(path, clip_ids, np.array(values, dtype=np.float64))
-    write_rows(path, TIMBRE_CSV_HEADER, timbre_csv_rows(clip_ids, values))
+    """Lazy CSV rows: each clip id and its row of [N x 5] `values`, only read, as 9-digit text."""
+    return zip(clip_ids, *(map("%.9g".__mod__, column) for column in np.asarray(values).T))
 
 
 def read_timbre_table(path):

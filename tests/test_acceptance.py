@@ -7,12 +7,13 @@ in this file; the end-to-end checks drive the CLI on the seed-7 synthetic
 benchmark.
 """
 
+import dataclasses
 import json
 import time
 
 import numpy as np
 
-from timbrediff import detector
+from timbrediff import cli, detector, store
 from timbrediff.cli import main
 from timbrediff.dataset import auc, generate_ground_truth
 from timbrediff.detector import (
@@ -285,6 +286,25 @@ def test_c07_d_fails_with_random_neighbours(default_benchmark, tmp_path, monkeyp
     ratio = knn_report["mean_mae"] / global_report["mean_mae"]
     assert ratio > C7_MAE_RATIO
     report_line("C7(d) planted fault", f"random neighbours: mae ratio {ratio:.3f} "
+                f"> {C7_MAE_RATIO}")
+
+
+def misaligned_timbre_rows(seed):
+    """A stand-in for the CLI's load_model whose timbre rows are permuted
+    against the embeddings: each neighbour's timbre is another clip's."""
+    def load(model_dir, config=None):
+        ref, config = store.load_model(model_dir, config)
+        order = np.random.default_rng(seed).permutation(ref.size)
+        return dataclasses.replace(ref, timbre_values=ref.timbre_values[order]), config
+    return load
+
+
+def test_c07_d_fails_with_misaligned_timbre_rows(default_benchmark, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "load_model", misaligned_timbre_rows(7))
+    knn_report, global_report = c7_spectral_reports(default_benchmark.out_dir, tmp_path)
+    ratio = knn_report["mean_mae"] / global_report["mean_mae"]
+    assert ratio > C7_MAE_RATIO
+    report_line("C7(d) planted fault", f"timbre rows misaligned: mae ratio {ratio:.3f} "
                 f"> {C7_MAE_RATIO}")
 
 

@@ -671,9 +671,27 @@ BAD_MODEL_VALUES = {
                                                         count=1)),
                           "normalization stats must be finite"),
     "normalization_text": ("normalization.json", lambda p: edit_json(p, "std", "abc"),
-                           "could not convert string to float: 'abc'"),
+                           "std must be a list of numbers"),
+    "normalization_numeric_text": ("normalization.json", lambda p: edit_json(
+        p, "mean", [str(v) for v in json.loads(p.read_text())["mean"]]),
+                                   "mean must be a list of numbers"),
+    "normalization_bool": ("normalization.json", lambda p: edit_json(
+        p, "std", [True] + json.loads(p.read_text())["std"][1:]),
+                           "std must be a list of numbers"),
     "config_k_text": ("config.json", lambda p: edit_json(p, "k", "abc"),
-                      "invalid literal for int() with base 10: 'abc'"),
+                      "k must be a whole number, got 'abc'"),
+    "config_k_numeric_text": ("config.json", lambda p: edit_json(p, "k", "5"),
+                              "k must be a whole number, got '5'"),
+    "config_k_fraction": ("config.json", lambda p: edit_json(p, "k", 2.7),
+                          "k must be a whole number, got 2.7"),
+    "config_k_bool": ("config.json", lambda p: edit_json(p, "k", True),
+                      "k must be a whole number, got True"),
+    "config_t_numeric_text": ("config.json", lambda p: edit_json(p, "t", "0.1"),
+                              "t must be a number, got '0.1'"),
+    "config_t_bool": ("config.json", lambda p: edit_json(p, "t", False),
+                      "t must be a number, got False"),
+    "config_t_huge": ("config.json", lambda p: edit_json(p, "t", 10 ** 400),
+                      "int too large to convert to float"),
     "config_distance": ("config.json", lambda p: edit_json(p, "distance", "manhattan"),
                         "unknown distance kind 'manhattan'"),
     "config_provider_list": ("config.json", lambda p: edit_json(p, "provider", ["x"]),

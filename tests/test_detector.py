@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from timbrediff import detector
@@ -394,6 +394,72 @@ class TestScoreClip:
             assert res.attribute_scores.tobytes() == one.attribute_scores.tobytes()
             assert res.attribute_labels.tolist() == one.attribute_labels.tolist()
             assert res.neighbor_indices.tolist() == one.neighbor_indices.tolist()
+
+
+class TestMetamorphicRelations:
+    """How score_clips' results must move when the reference set is transformed."""
+
+    @staticmethod
+    def draw_case(data, kinds=tuple(DistanceKind)):
+        """(ref, ids, queries, values, k, t) over a small random reference set; timbre
+        values come from a few levels, so that ranks tie."""
+        n = data.draw(st.integers(1, 10))
+        dim = data.draw(st.integers(1, 3))
+        q = data.draw(st.integers(1, 5))
+        cell = st.floats(-10.0, 10.0, allow_subnormal=False)
+        level = st.sampled_from([0.25, 0.5, 0.75])
+
+        def matrix(rows, cols, values):
+            drawn = data.draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows))
+            return np.array(drawn, dtype=np.float64).reshape(rows, cols)
+
+        ref = make_ref(matrix(n, dim, cell), matrix(n, 5, level),
+                       data.draw(st.sampled_from(kinds)))
+        queries, values = matrix(q, dim, cell), matrix(q, 5, level)
+        k = data.draw(st.integers(1, n))
+        t = data.draw(st.sampled_from([0.0, 0.1, 0.25]))
+        return ref, [f"q{i}" for i in range(q)], queries, values, k, t
+
+    @staticmethod
+    def extended(ref, rows, timbre, ids):
+        return ReferenceSet(np.vstack([ref.embeddings, rows]),
+                            np.vstack([ref.timbre_values, timbre]), ref.clip_ids + tuple(ids),
+                            ref.provider_id, ref.distance_kind, ref.normalization)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_r1_duplicated_rows_at_twice_k(self, data):
+        ref, ids, queries, values, k, t = self.draw_case(data)
+        for query in queries:   # the k nearest rows are one set, not a pick among ties
+            dists = np.sort(distances_to(ref.embeddings, query, ref.distance_kind))
+            assume(k == ref.size or dists[k - 1] != dists[k])
+        twice = self.extended(ref, ref.embeddings, ref.timbre_values, ref.clip_ids)
+        baseline = data.draw(st.sampled_from([None, "global"]))
+        once = detector.score_clips(ref, ids, queries, values, k, t, baseline=baseline)
+        doubled = detector.score_clips(twice, ids, queries, values, 2 * k, t, baseline=baseline)
+        for a, b in zip(once, doubled):
+            assert b.attribute_scores.tobytes() == a.attribute_scores.tobytes()
+            assert b.attribute_labels.tolist() == a.attribute_labels.tolist()
+            assert b.anomaly_score == pytest.approx(a.anomaly_score, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_r3_far_rows_change_nothing(self, data):
+        # Euclidean only: rows moved by 1e3 per axis may still point a query's way.
+        ref, ids, queries, values, k, t = self.draw_case(data, [DistanceKind.EUCLIDEAN])
+        far = data.draw(st.lists(st.integers(0, ref.size - 1), min_size=1, max_size=4))
+        level = st.sampled_from([0.25, 0.5, 0.75])
+        timbre = [data.draw(st.lists(level, min_size=5, max_size=5)) for _ in far]
+        more = self.extended(ref, ref.embeddings[far] + 1e3, timbre,
+                             [f"far_{i}" for i in range(len(far))])
+        before = detector.score_clips(ref, ids, queries, values, k, t)
+        after = detector.score_clips(more, ids, queries, values, k, t)
+        for a, b in zip(before, after):
+            assert np.float64(b.anomaly_score).tobytes() == np.float64(a.anomaly_score).tobytes()
+            assert b.attribute_scores.tobytes() == a.attribute_scores.tobytes()
+            assert b.attribute_labels.tolist() == a.attribute_labels.tolist()
+            assert b.neighbor_indices.tolist() == a.neighbor_indices.tolist()
 
 
 class TestGlobalBaseline:

@@ -1,8 +1,8 @@
 """load_model reads a format-2 model directory, the TDCE payload, clip_ids.json
-and timbre.npy, and never its CSV exports; what it loads equals, to the bit,
-what the row-wise readers give for those exports.  save_model writes the
-exports with the bytes of the row-wise writers it replaced, the embeddings
-one block of float32 rows at a time."""
+and timbre.npy, and never its CSV exports.  It returns the timbre values given
+to save_model bit for bit, and the embeddings as the TDCE export reads back.
+save_model writes the exports with the bytes of the row-wise writers it
+replaced, the embeddings one block of float32 rows at a time."""
 
 import json
 import re
@@ -53,12 +53,33 @@ def loaded(model_dir):
 
 
 def exported(model_dir):
-    """What the row-wise readers give for the CSV exports, in loaded()'s form."""
+    """What the row-wise readers give for the exports: (ids, loaded()'s form of the
+    embeddings, the timbre values as their 9-digit text reads back)."""
     ids, vectors = read_tdce(model_dir / "embeddings.tdce")
     timbre_ids, values = read_timbre_table(model_dir / "timbre.csv")
     assert timbre_ids == ids
-    return tuple(ids), [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes())
-                        for a in (vectors, values)]
+    return tuple(ids), (vectors.dtype, vectors.shape, vectors.flags.c_contiguous,
+                        vectors.tobytes()), values
+
+
+def nine_digits(values):
+    return np.array([[float(f"{v:.9g}") for v in row] for row in values]).reshape(-1, 5)
+
+
+def check_exports(model_dir, ids, values):
+    """load_model gives back `values` to the bit; timbre.csv is their 9-digit text,
+    as the row-wise writer wrote it, and the exports name the rows of clip_ids.json."""
+    loaded_ids, _, (embeddings, timbre) = loaded(model_dir)
+    assert timbre == (np.dtype(np.float64), values.shape, True, values.tobytes())
+    export_ids, export_embeddings, export_values = exported(model_dir)
+    assert loaded_ids == export_ids == tuple(ids)
+    assert embeddings == export_embeddings
+    assert export_values.tobytes() == nine_digits(values).tobytes()
+    reference = model_dir / "reference_timbre.csv"
+    _reference_write_timbre_csv(reference, [(cid, TimbreVector.from_array(row))
+                                            for cid, row in zip(ids, values)])
+    assert reference.read_bytes() == (model_dir / "timbre.csv").read_bytes()
+    reference.unlink()
 
 
 def test_quoted_ids_round_trip(tmp_path):
@@ -66,27 +87,27 @@ def test_quoted_ids_round_trip(tmp_path):
     vectors, values = save(tmp_path, ids)
     assert json.loads((tmp_path / "clip_ids.json").read_text()) == ids
     ref, _ = load_model(tmp_path)
-    assert ref.clip_ids == tuple(ids)
     assert np.array_equal(ref.embeddings, vectors)
-    assert np.array_equal(ref.timbre_values, np.array([[float(f"{v:.9g}") for v in row]
-                                                       for row in values]))
-    ids, _, arrays = loaded(tmp_path)
-    assert (ids, arrays) == exported(tmp_path)
+    check_exports(tmp_path, ids, values)
 
 
 @pytest.fixture(scope="module")
-def bulk_model(tmp_path_factory):
+def bulk_saved(tmp_path_factory):
     model_dir = tmp_path_factory.mktemp("bulk") / "m"
-    save(model_dir, [f"clip_{i:05d}" for i in range(BULK_ROWS)])
-    return model_dir
+    ids = [f"clip_{i:05d}" for i in range(BULK_ROWS)]
+    return model_dir, ids, save(model_dir, ids)[1]
 
 
-def test_bulk_load_equals_row_wise_to_the_bit(bulk_model):
-    # timbre.npy and clip_ids.json hold what the exports read back as.
-    ids, config, arrays = loaded(bulk_model)
-    assert (ids, arrays) == exported(bulk_model)
-    assert ids == tuple(f"clip_{i:05d}" for i in range(BULK_ROWS))
-    assert config["format_version"] == 2
+@pytest.fixture(scope="module")
+def bulk_model(bulk_saved):
+    return bulk_saved[0]
+
+
+def test_bulk_load_equals_row_wise_to_the_bit(bulk_saved):
+    # timbre.npy holds the values given; timbre.csv their 9-digit text.
+    model_dir, ids, values = bulk_saved
+    check_exports(model_dir, ids, values)
+    assert loaded(model_dir)[1]["format_version"] == 2
 
 
 def test_load_model_reads_no_export(bulk_model, tmp_path):
@@ -262,12 +283,9 @@ def test_bulk_writers_match_row_wise_writers(tmp_path_factory, model):
     for name in ("embeddings.tdce", "embeddings.tdce.ids.csv", "timbre.csv"):
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
-    assert loaded(new)[::2] == exported(new)
+    check_exports(new, ids, values)
     ref, _ = load_model(new)
-    assert ref.clip_ids == tuple(ids)
     assert ref.embeddings.tobytes() == vectors.astype(np.float32).astype(np.float64).tobytes()
-    nine_digits = [[float(f"{v:.9g}") for v in row] for row in values]
-    assert ref.timbre_values.tobytes() == np.array(nine_digits).tobytes()
 
 
 def test_block_writes_match_row_wise_writers(tmp_path):

@@ -14,10 +14,11 @@ from timbrediff.dataset import (
     write_ground_truth_csv,
     write_manifest_csv,
 )
+from timbrediff.csvrows import write_rows
 from timbrediff.detector import TimbreDiffResult, read_results_csv, write_results_csv
 from timbrediff.embeddings import read_tdce, write_embeddings
 from timbrediff.frontend import AudioClip, load_wav, save_wav
-from timbrediff.timbre import TimbreVector, read_timbre_csv, write_timbre_csv
+from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, read_timbre_csv, timbre_csv_rows
 
 ROUNDTRIP = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -65,8 +66,8 @@ timbre_vectors = st.builds(TimbreVector, nine_digits(0.0, 50.0), nine_digits(0.0
 @given(rows=unique_ids(timbre_vectors))
 def test_timbre_csv(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("timbre") / "timbre.csv"
-    write_timbre_csv(path, [cid for cid, _ in rows],
-                     np.array([vec.as_array() for _, vec in rows]).reshape(-1, 5))
+    write_rows(path, TIMBRE_CSV_HEADER, timbre_csv_rows(
+        [cid for cid, _ in rows], np.array([vec.as_array() for _, vec in rows]).reshape(-1, 5)))
     assert list(read_timbre_csv(path).items()) == rows
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from timbrediff.cli import main
+from timbrediff.csvrows import write_rows
 from timbrediff.dataset import (
     GroundTruthRecord,
     ManifestEntry,
@@ -31,7 +32,7 @@ from timbrediff.embeddings import (
 from timbrediff.evaluation import EvalReport, write_report_json
 from timbrediff.frontend import AudioClip, save_wav
 from timbrediff.store import load_model, save_model
-from timbrediff.timbre import TimbreVector, write_timbre_csv
+from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, timbre_csv_rows
 
 
 class Interrupted(Exception):
@@ -65,8 +66,8 @@ WRITERS = {
         GroundTruthRecord(cid, "hiss", [0.5] * 5, [0] * 5) for cid in clip_ids(good)]),
     "manifest": lambda path, good: write_manifest_csv(path, [
         ManifestEntry(cid, "a.wav", "train", "normal", "slow") for cid in clip_ids(good)]),
-    "timbre": lambda path, good: write_timbre_csv(path, clip_ids(good),
-                                                  np.tile(VECTOR.as_array(), (3, 1))),
+    "timbre": lambda path, good: write_rows(path, TIMBRE_CSV_HEADER, timbre_csv_rows(
+        clip_ids(good), np.tile(VECTOR.as_array(), (3, 1)))),
     "tdce": lambda path, good: write_embeddings(path, clip_ids(good),
                                                 np.full((3, 2), 1.0 if good else 2.0)),
     "report": lambda path, good: write_report_json(path, EvalReport(
@@ -163,17 +164,15 @@ def test_non_finite_row_in_the_last_block_fails_before_the_write(tmp_path, bad, 
 
 
 def test_failed_save_leaves_the_previous_model_whole(tmp_path):
+    # The timbre files and clip_ids.json are staged before the embeddings,
+    # whose last row fails: none of the new model's files replaces an old one.
     save_vectors(tmp_path, ["c0", "c1", "c2", "c3"], np.ones((4, 2)))
     before = snapshot(tmp_path)
-    bad = TimbreVector(1.0, 0.5, 0.5, 100.0, 0.5)
-    object.__setattr__(bad, "boominess", 1.5)      # past TimbreVector's own check
-    ids = ["d0", "d1", "d2", "d3"]
+    vectors = np.ones((4, 2))
+    vectors[3, 1] = np.nan
     with pytest.raises(ValueError, match=re.escape(
-            f"{tmp_path / 'timbre.csv'}: row 3: boominess must lie in [0, 1]")):
-        save_model(tmp_path, [Embedding(np.ones(2), "spectral", cid) for cid in ids],
-                   [(cid, bad if cid == "d1" else VECTOR) for cid in ids],
-                   NormalizationStats(np.zeros(2), np.ones(2)), DistanceKind.EUCLIDEAN,
-                   k=1, t=0.1)
+            f"{tmp_path / 'embeddings.tdce'}: embedding row 3 (clip 'd3') is not finite")):
+        save_vectors(tmp_path, ["d0", "d1", "d2", "d3"], vectors)
     assert snapshot(tmp_path) == before
     assert load_model(tmp_path)[0].clip_ids == ("c0", "c1", "c2", "c3")
 
