@@ -125,52 +125,50 @@ def _workers(n_clips: int) -> int:
 def _analyse(args, entries, provider=None, meanwhile=lambda: None):
     """Decode and analyse each clip of `entries` once.
 
-    Returns the clip ids, their [N x 5] timbre values and the [N x D] raw
-    features of `provider`: None without one, the timbre values for the
-    timbre provider.  External features come from the --embeddings TDCE
-    file, which must hold every clip.
+    Returns the clip ids, their [N x 5] timbre values, the [N x D] raw
+    features of `provider` (None without one, the timbre values for the
+    timbre provider, the rows of the --embeddings TDCE file for external,
+    which must hold every clip) and what `meanwhile()` returned.
 
-    Clips are spread over _workers(len(entries)) forked processes.  Results
-    arrive in manifest order, and of several bad clips the first in the
-    manifest is the one reported, as in a serial run.  `meanwhile()` runs here while
-    the workers decode, or first when serial, so its error wins over a clip's.
+    One order on any CPU count: the clips start, on _workers(len(entries))
+    forked processes or as a lazy serial map; the stage's own reads run,
+    `meanwhile()` then --embeddings, so their error wins over a clip's; the
+    clips are collected in manifest order, the first bad one reported.
     """
+    if provider == EXTERNAL_PROVIDER and not args.embeddings:
+        raise ValueError("provider 'external' requires --embeddings")
     clip_ids = [e.clip_id for e in entries]
     paths = [Path(args.audio_root) / e.path for e in entries]
     workers = _workers(len(paths))
-    if workers == 1:
-        meanwhile()
-    if provider == EXTERNAL_PROVIDER:
-        if not args.embeddings:
-            raise ValueError("provider 'external' requires --embeddings")
-        tdce_ids, vectors = read_tdce(args.embeddings)
-        tdce_row = {cid: i for i, cid in enumerate(tdce_ids)}
-        missing = [cid for cid in clip_ids if cid not in tdce_row]
-        if missing:
-            raise ValueError(f"{args.embeddings}: no embedding for clip {missing[0]!r}")
     analyse = functools.partial(_analyse_clip, provider=provider)
-    if workers == 1:
-        analysed = list(map(analyse, paths))
-    else:
+    pool = None
+    if workers > 1:
         # Imported here, so that a serial stage skips their import.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork, not spawn: a worker starts with the package already imported,
-        # where spawn would import it again (about 0.17 s per worker).  The
-        # CLI runs no threads of its own, and OpenBLAS shuts its thread pool
-        # down before a fork.  The executor's map raises the error of the
-        # first failing chunk in manifest order, and it fails with
-        # BrokenProcessPool when a worker dies, where multiprocessing.Pool
-        # would wait forever for the dead worker's results.
+        # fork, not spawn: a worker starts with the package already imported, where
+        # spawn would import it again (about 0.17 s per worker).  The CLI runs no
+        # threads of its own, and OpenBLAS shuts its thread pool down before a fork.
+        # The executor's map raises the error of the first failing chunk in manifest
+        # order, and it fails with BrokenProcessPool when a worker dies, where
+        # multiprocessing.Pool would wait forever for the dead worker's results.
         fork = multiprocessing.get_context("fork")
         pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_exit_with_parent,
                                    initargs=(os.getpid(),))
-        try:        # on an error, clips not yet started are cancelled
-            pending = pool.map(analyse, paths, chunksize=-(-len(paths) // (4 * workers)))
-            meanwhile()
-            analysed = list(pending)
-        finally:
+    try:            # on an error, clips not yet started are cancelled
+        pending = (pool.map(analyse, paths, chunksize=-(-len(paths) // (4 * workers)))
+                   if pool else map(analyse, paths))
+        reads = meanwhile()
+        if provider == EXTERNAL_PROVIDER:
+            tdce_ids, vectors = read_tdce(args.embeddings)
+            tdce_row = {cid: i for i, cid in enumerate(tdce_ids)}
+            missing = [cid for cid in clip_ids if cid not in tdce_row]
+            if missing:
+                raise ValueError(f"{args.embeddings}: no embedding for clip {missing[0]!r}")
+        analysed = list(pending)
+    finally:
+        if pool:
             pool.shutdown(cancel_futures=True)
     # Reshaped so that no clips still gives [0 x 5] and [0 x D].
     timbre = np.array([values for values, _ in analysed]).reshape(-1, N_ATTRIBUTES)
@@ -179,7 +177,7 @@ def _analyse(args, entries, provider=None, meanwhile=lambda: None):
         raw = np.array([features for _, features in analysed]).reshape(-1, SPECTRAL_DIM)
     elif provider == EXTERNAL_PROVIDER:
         raw = vectors[[tdce_row[cid] for cid in clip_ids]]
-    return clip_ids, timbre, raw
+    return clip_ids, timbre, raw, reads
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +224,7 @@ def cmd_fit(args) -> int:
     # Settings that score would reject fail here, before any clip is decoded.
     _check_option("--k", check_k, args.k, len(train))
     _check_option("--t", check_t, args.t)
-    clip_ids, timbre, raw = _analyse(args, train, args.provider)
+    clip_ids, timbre, raw, _ = _analyse(args, train, args.provider)
     stats = fit_normalization(raw)
     embeddings = [Embedding(z, args.provider, cid)
                   for cid, z in zip(clip_ids, stats.zscore(raw))]
@@ -254,11 +252,13 @@ def cmd_score(args) -> int:
     check_t(config["t"])
 
     tests = [e for e in load_manifest(args.manifest) if e.split == "test"]
-    loaded = []                 # [ReferenceSet, config], read while the workers decode
-    clip_ids, timbre, raw = _analyse(args, tests, config["provider"],
-                                     lambda: loaded.extend(load_model(args.model, config)))
-    ref = loaded[0]
-    results = score_clips(ref, clip_ids, ref.normalization.zscore(raw), timbre,
+    clip_ids, timbre, raw, (ref, _) = _analyse(args, tests, config["provider"],
+                                               lambda: load_model(args.model, config))
+    queries = ref.normalization.zscore(raw)
+    bad = np.flatnonzero(~np.isfinite(queries).all(axis=1))    # only --embeddings can overflow
+    if bad.size:
+        raise ValueError(f"{args.embeddings}: clip {clip_ids[bad[0]]!r}: z-scores not finite")
+    results = score_clips(ref, clip_ids, queries, timbre,
                           config["k"], config["t"], baseline=args.baseline)
 
     write_results_csv(args.out, results)
@@ -275,7 +275,7 @@ def cmd_gen_gt(args) -> int:
     _check_option("--t-prime", check_t, args.t_prime)     # before any clip is decoded
     entries = load_manifest(args.manifest)
     needed = [e for e in entries if e.split == "train" or e.state == "anomalous"]
-    clip_ids, timbre, _ = _analyse(args, needed)
+    clip_ids, timbre, _, _ = _analyse(args, needed)
     records = generate_ground_truth(entries, clip_ids, timbre, t_prime=args.t_prime)
     write_ground_truth_csv(args.out, records)
     stats = ground_truth_statistics(records)

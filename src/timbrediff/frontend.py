@@ -313,19 +313,22 @@ def bark_band_edges(sample_rate: int) -> list:
     return edges
 
 
+def _band_bins(freqs, lo: float, hi: float, nyquist: float) -> tuple:
+    """(first, stop): the run of sorted bin frequencies `freqs` in [lo, hi),
+    plus a bin at exactly Nyquist when the band reaches it."""
+    return (int(np.searchsorted(freqs, lo, side="left")),
+            int(np.searchsorted(freqs, hi, side="right" if hi >= nyquist else "left")))
+
+
 @functools.lru_cache(maxsize=64)
 def _bark_bins(sample_rate: int) -> tuple:
     """bark_band_powers' band count and the (band, first, stop) bin range of
     each band holding bins, on stft_power's grid at sample_rate."""
-    n_bands = len(bark_band_edges(sample_rate))
-    # Sorted frequencies give each band one contiguous run of bins.
-    band_index = np.searchsorted(BARK_EDGES_HZ, stft_bin_freqs(sample_rate), side="right") - 1
-    ranges = []
-    for band in range(n_bands):
-        members = np.flatnonzero(band_index == band)
-        if members.size:
-            ranges.append((band, int(members[0]), int(members[-1]) + 1))
-    return n_bands, tuple(ranges)
+    edges = bark_band_edges(sample_rate)
+    freqs = stft_bin_freqs(sample_rate)
+    ranges = [(band, *_band_bins(freqs, lo, hi, sample_rate / 2.0))
+              for band, (lo, hi) in enumerate(edges)]
+    return len(edges), tuple(r for r in ranges if r[2] > r[1])
 
 
 def bark_band_powers(spec: Spectrogram) -> np.ndarray:
@@ -356,9 +359,7 @@ def _envelope_layout(sample_rate: int, n: int, band_edges: tuple) -> tuple:
     k_hi = np.searchsorted(freqs, ENVELOPE_MOD_HZ, side="right") - 1
     bands = []
     for lo, hi in band_edges:
-        # A band reaching Nyquist also takes a bin at exactly Nyquist.
-        first = np.searchsorted(freqs, lo, side="left")
-        stop = np.searchsorted(freqs, hi, side="right" if hi >= nyquist else "left")
+        first, stop = _band_bins(freqs, lo, hi, nyquist)
         if stop <= first:
             raise EmptyBandError(f"band {lo}-{hi} Hz contains no spectral bins")
         m = 1 << int(max(8 * (stop - first), 2 * (k_hi + 1), 512) - 1).bit_length()

@@ -7,7 +7,7 @@ the clip id, so regeneration is byte-identical.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -303,19 +303,8 @@ def generate_dataset(conditions, causes, train_per_condition: int,
         "train_per_condition": train_per_condition,
         "test_per_condition": test_per_condition,
         "sample_rate": CANONICAL_RATE,
-        "conditions": [{
-            "condition_id": c.condition_id,
-            "base_frequency": c.base_frequency,
-            "harmonic_count": c.harmonic_count,
-            "harmonic_decay": c.harmonic_decay,
-            "noise_color": c.noise_color,
-            "noise_level": c.noise_level,
-        } for c in conditions],
-        "causes": [{
-            "cause_id": c.cause_id,
-            "transform": {"kind": c.transform.kind, "params": c.transform.params},
-            "intended_directions": list(c.intended_directions),
-        } for c in causes],
+        "conditions": [asdict(c) for c in conditions],
+        "causes": [asdict(c) for c in causes],
     }
     write_json(out_dir / "specs.json", specs)
     return SynthDataset(entries, out_dir, int(seed), conditions, causes,

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from timbrediff import frontend, timbre
+from timbrediff import cli, frontend, timbre
 from timbrediff.cli import _analyse, _workers
 from timbrediff.dataset import ManifestEntry
 from timbrediff.embeddings import mel_filterbank, spectral_features
@@ -82,7 +82,7 @@ def test_shared_path_equals_standalone_calls(clip_dir, provider, usable_cpus):
         usable_cpus(cpus)
         assert _workers(len(entries)) == cpus
         clear_grid_caches()
-        clip_ids, values, raw = _analyse(args, entries, provider)
+        clip_ids, values, raw, _ = _analyse(args, entries, provider)
         assert clip_ids == [e.clip_id for e in entries]
         assert values.tobytes() == np.array(expected).tobytes()
         if provider == "timbre":
@@ -91,6 +91,27 @@ def test_shared_path_equals_standalone_calls(clip_dir, provider, usable_cpus):
             assert raw.tobytes() == features.tobytes()
         else:
             assert raw is None
+
+
+def test_serial_path_decodes_no_clip_before_the_stage_reads(clip_dir, usable_cpus,
+                                                            monkeypatch):
+    # As in the pool, meanwhile() runs before any clip is collected, so its
+    # error wins, and what it returns comes back as the fourth item.
+    root, entries = clip_dir
+    calls = []
+    monkeypatch.setattr(cli, "_analyse_clip",
+                        lambda path, provider: calls.append(path) or (np.zeros(5), None))
+    usable_cpus(1)
+    args = SimpleNamespace(audio_root=str(root), embeddings=None)
+
+    def damaged():
+        raise ValueError("model: damaged")
+
+    with pytest.raises(ValueError, match="model: damaged"):
+        _analyse(args, entries, "timbre", damaged)
+    assert calls == []
+    assert _analyse(args, entries, "timbre", lambda: "read")[3] == "read"
+    assert len(calls) == len(entries)
 
 
 def test_grid_constants_are_read_only():

@@ -453,6 +453,53 @@ class TestExternalProvider:
             err = capsys.readouterr().err
             assert err == f"error: {partial}: no embedding for clip {dropped!r}\n"
 
+    @staticmethod
+    def fit_external(tiny_dataset, tmp_path, capsys, vectors):
+        """A model fitted on `vectors`, one row per manifest clip, written as ext.tdce;
+        fit's log is read off."""
+        tdce = tmp_path / "ext.tdce"
+        write_embeddings(tdce, [e.clip_id for e in load_manifest(tiny_dataset / "manifest.csv")],
+                         vectors)
+        model = tmp_path / "model"
+        assert run("fit", "--manifest", tiny_dataset / "manifest.csv", "--audio-root",
+                   tiny_dataset, "--provider", "external", "--embeddings", tdce,
+                   "--out", model, "--k", "5") == 0
+        capsys.readouterr()
+        return model, tdce
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_model_error_wins_over_an_embeddings_error(self, tiny_dataset, tmp_path, capsys,
+                                                       usable_cpus, cpus):
+        # The model is read before --embeddings, pooled or serial.
+        n = len(load_manifest(tiny_dataset / "manifest.csv"))
+        model, tdce = self.fit_external(tiny_dataset, tmp_path, capsys,
+                                        np.random.default_rng(5).normal(size=(n, 4)))
+        (model / "clip_ids.json").write_text("[1, 2]")
+        bad = tmp_path / "bad.tdce"
+        bad.write_bytes(b"XXXX" + tdce.read_bytes()[4:])
+        usable_cpus(cpus)
+        assert run("score", "--model", model, "--manifest", tiny_dataset / "manifest.csv",
+                   "--audio-root", tiny_dataset, "--embeddings", bad,
+                   "--out", tmp_path / "r.csv") == 1
+        assert capsys.readouterr().err == (
+            f"error: {model / 'clip_ids.json'}: expected a JSON list of clip id strings\n")
+
+    def test_query_overflowing_its_z_score_names_file_and_clip(self, tiny_dataset, tmp_path,
+                                                               capsys):
+        # Column 0 is constant over the training rows, so its std is floored at
+        # 1e-9, and a test row's 1e30 z-scores beyond float32's range.
+        entries = load_manifest(tiny_dataset / "manifest.csv")
+        vectors = np.random.default_rng(5).normal(size=(len(entries), 16))
+        test = np.array([e.split == "test" for e in entries])
+        vectors[:, 0] = np.where(test, 1e30, 1.0)
+        model, tdce = self.fit_external(tiny_dataset, tmp_path, capsys, vectors)
+        assert run("score", "--model", model, "--manifest", tiny_dataset / "manifest.csv",
+                   "--audio-root", tiny_dataset, "--embeddings", tdce,
+                   "--out", tmp_path / "r.csv") == 1
+        first = entries[int(np.argmax(test))].clip_id
+        assert capsys.readouterr().err == f"error: {tdce}: clip {first!r}: z-scores not finite\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_score_without_embeddings_fails(self, tiny_dataset, tmp_path,
                                             capsys):
         entries = load_manifest(tiny_dataset / "manifest.csv")

@@ -445,6 +445,27 @@ class TestMetamorphicRelations:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
+    def test_r2_permuted_rows_change_nothing_but_indices(self, data):
+        ref, ids, queries, values, k, t = self.draw_case(data)
+        for query in queries:   # the k nearest rows are one set, not a pick among ties
+            dists = np.sort(distances_to(ref.embeddings, query, ref.distance_kind))
+            assume(k == ref.size or dists[k - 1] != dists[k])
+        # Row i of the permuted set is row perm[i] of ref: embedding, timbre row and id.
+        perm = np.array(data.draw(st.permutations(range(ref.size))), dtype=int)
+        permuted = ReferenceSet(ref.embeddings[perm], ref.timbre_values[perm],
+                                tuple(ref.clip_ids[i] for i in perm), ref.provider_id,
+                                ref.distance_kind, ref.normalization)
+        baseline = data.draw(st.sampled_from([None, "global"]))
+        before = detector.score_clips(ref, ids, queries, values, k, t, baseline=baseline)
+        after = detector.score_clips(permuted, ids, queries, values, k, t, baseline=baseline)
+        for a, b in zip(before, after):
+            assert np.float64(b.anomaly_score).tobytes() == np.float64(a.anomaly_score).tobytes()
+            assert b.attribute_scores.tobytes() == a.attribute_scores.tobytes()
+            assert b.attribute_labels.tolist() == a.attribute_labels.tolist()
+            assert sorted(perm[b.neighbor_indices]) == sorted(a.neighbor_indices)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
     def test_r3_far_rows_change_nothing(self, data):
         # Euclidean only: rows moved by 1e3 per axis may still point a query's way.
         ref, ids, queries, values, k, t = self.draw_case(data, [DistanceKind.EUCLIDEAN])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from timbrediff import frontend
 from timbrediff.frontend import (
     _RESAMPLE_HALF_TAPS,
     BARK_EDGES_HZ,
@@ -463,6 +464,24 @@ class TestBarkBands:
         specs += [stft_power(make_noise(5, rate=rate)) for rate in (8000, 22050, 44100)]
         for spec in specs * 2:
             assert bark_band_powers(spec).tobytes() == reference(spec).tobytes()
+
+    @pytest.mark.parametrize("rate", [12800, 24000])
+    def test_nyquist_bin_joins_the_band_ending_at_nyquist(self, rate):
+        # Nyquist is a Bark edge at these rates (6400 and 12000 Hz).  The last
+        # band ends there and still takes the bin at exactly Nyquist, as
+        # band_envelopes' bands do.
+        power = np.zeros((2, FRAME_LEN // 2 + 1))
+        power[:, -1] = 1.0
+        bands = bark_band_powers(Spectrogram(power, rate))
+        assert np.flatnonzero(bands.any(axis=0)).tolist() == [bands.shape[1] - 1]
+
+    @pytest.mark.parametrize("rate", [8000, 12800, 16000, 22050, 24000, 44100])
+    def test_bins_follow_the_envelope_rule(self, rate):
+        edges = tuple(bark_band_edges(rate))
+        groups = frontend._envelope_layout(rate, FRAME_LEN, edges)
+        ranges = sorted((int(band), *bins) for _, members, group_bins in groups
+                        for band, bins in zip(members, group_bins))
+        assert frontend._bark_bins(rate) == (len(edges), tuple(ranges))
 
 
 def envelope_rows(groups, n_bands):
