@@ -6,6 +6,7 @@ files (and the gen-gt statistics JSON to standard output).
 """
 
 import argparse
+import ctypes
 import functools
 import json
 import os
@@ -63,11 +64,25 @@ _CLI_ERRORS = (WavError, ValueError, OSError)   # the package's other input erro
 
 
 # _analyse gives each worker process at least this many clips.  On a 2-core
-# host, a fresh stage's two workers beat serial analysis from 10-16
-# one-second 16 kHz clips with spectral features and from 30-60 with timbre
+# host, a fresh stage's two workers beat serial analysis from 20-25
+# one-second 16 kHz clips with spectral features and from 25-45 with timbre
 # alone.  One-second 44.1 kHz stereo clips, which need resampling, break
-# even at about 12-20 clips.
+# even at about 15-20 clips, and two workers already won 5 of 7 runs at 15.
 _MIN_CLIPS_PER_WORKER = 5
+
+
+def _keep_freed_heap() -> bool:
+    """Keep each clip's freed multi-MB temporaries on the heap for the next
+    clip, rather than unmapping or trimming them and page-faulting them back
+    in: glibc's mmap threshold at 16 MiB and its trim threshold at 64 MiB.
+    True where the C library took both."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt     # glibc and musl; not macOS or Windows
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD; glibc returns 1 for each value it takes.
+    return mallopt(-3, 16 << 20) == 1 and mallopt(-1, 64 << 20) == 1
 
 
 def _log(message: str) -> None:
@@ -137,6 +152,8 @@ def _analyse(args, entries, provider=None, meanwhile=lambda: None):
     """
     if provider == EXTERNAL_PROVIDER and not args.embeddings:
         raise ValueError("provider 'external' requires --embeddings")
+    if provider != EXTERNAL_PROVIDER and getattr(args, "embeddings", None):    # gen-gt has none
+        raise ValueError(f"--embeddings is for provider 'external' only, not {provider!r}")
     clip_ids = [e.clip_id for e in entries]
     paths = [Path(args.audio_root) / e.path for e in entries]
     workers = _workers(len(paths))
@@ -359,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()      # before any pool forks, so that its workers inherit it
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -500,6 +500,23 @@ class TestExternalProvider:
         assert capsys.readouterr().err == f"error: {tdce}: clip {first!r}: z-scores not finite\n"
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("stage,provider", [("fit", "spectral"), ("fit", "timbre"),
+                                                ("score", "spectral")])
+    def test_embeddings_for_another_provider_fail_before_analysis(self, tiny_dataset, fitted,
+                                                                   tmp_path, capsys, stage,
+                                                                   provider):
+        # The audio root holds no clips and the file does not exist: reading
+        # either would fail differently.  score takes the model's provider.
+        common = ["--manifest", tiny_dataset / "manifest.csv", "--audio-root", tmp_path,
+                  "--embeddings", tmp_path / "missing.tdce"]
+        out = tmp_path / "out"
+        argv = (["fit", *common, "--provider", provider, "--k", "5", "--out", out]
+                if stage == "fit" else ["score", "--model", fitted, *common, "--out", out])
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: --embeddings is for provider 'external' only, not {provider!r}\n")
+        assert not out.exists()
+
     def test_score_without_embeddings_fails(self, tiny_dataset, tmp_path,
                                             capsys):
         entries = load_manifest(tiny_dataset / "manifest.csv")
