@@ -9,7 +9,7 @@ decreased or stayed unchanged relative to those neighbors.
 __version__ = "0.1.0"
 
 from .frontend import AudioClip, Spectrogram, load_wav, resample, save_wav
-from .timbre import TimbreAttribute, TimbreVector, compute_timbre_vector
+from .timbre import TimbreVector, compute_timbre_vector
 from .embeddings import DistanceKind, Embedding, NormalizationStats
 from .detector import (
     ReferenceSet,
@@ -24,7 +24,7 @@ from .synth import default_benchmark_specs, generate_clip, generate_dataset
 
 __all__ = [
     "AudioClip", "Spectrogram", "load_wav", "resample", "save_wav",
-    "TimbreAttribute", "TimbreVector", "compute_timbre_vector",
+    "TimbreVector", "compute_timbre_vector",
     "DistanceKind", "Embedding", "NormalizationStats",
     "ReferenceSet", "TimbreDiffResult", "global_baseline_score", "knn",
     "score_clip",

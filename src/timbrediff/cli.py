@@ -235,12 +235,12 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
+    # Settings that score would reject fail here, before any clip is decoded.
+    _check_option("--t", check_t, args.t)
     train = [e for e in load_manifest(args.manifest) if e.split == "train"]
     if not train:
-        raise ManifestError("manifest has no training rows")
-    # Settings that score would reject fail here, before any clip is decoded.
+        raise ManifestError(f"{args.manifest}: no training rows")
     _check_option("--k", check_k, args.k, len(train))
-    _check_option("--t", check_t, args.t)
     clip_ids, timbre, raw, _ = _analyse(args, train, args.provider)
     stats = fit_normalization(raw)
     embeddings = [Embedding(z, args.provider, cid)
@@ -269,6 +269,8 @@ def cmd_score(args) -> int:
     check_t(config["t"])
 
     tests = [e for e in load_manifest(args.manifest) if e.split == "test"]
+    if not tests:
+        raise ManifestError(f"{args.manifest}: no test rows")
     clip_ids, timbre, raw, (ref, _) = _analyse(args, tests, config["provider"],
                                                lambda: load_model(args.model, config))
     queries = ref.normalization.zscore(raw)
@@ -291,6 +293,8 @@ def cmd_score(args) -> int:
 def cmd_gen_gt(args) -> int:
     _check_option("--t-prime", check_t, args.t_prime)     # before any clip is decoded
     entries = load_manifest(args.manifest)
+    if not any(e.state == "anomalous" for e in entries):
+        raise ManifestError(f"{args.manifest}: no anomalous rows")
     needed = [e for e in entries if e.split == "train" or e.state == "anomalous"]
     clip_ids, timbre, _, _ = _analyse(args, needed)
     records = generate_ground_truth(entries, clip_ids, timbre, t_prime=args.t_prime)

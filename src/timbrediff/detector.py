@@ -220,24 +220,20 @@ def timbre_rank_score(test_values, neighbor_values):
 
     Counts one per neighbor strictly below the test value and one half per
     exact tie, divided by the neighbor count: the normalized Mann-Whitney
-    U statistic.  0 means below all neighbors, 1 means above all.  A float
-    for a scalar test value, an array for an array.
+    U statistic.  0 means below all neighbors, 1 means above all.  An array
+    of the test values' shape, 0-d for a scalar.
     """
-    scores = _u_counts(test_values, neighbor_values) / np.size(neighbor_values)
-    return scores if scores.ndim else float(scores)
+    return _u_counts(test_values, neighbor_values) / np.size(neighbor_values)
 
 
 def threshold_label(scores, t: float):
-    """Map rank scores to -1 (<= t), +1 (>= 1-t) or 0 (strictly between).
-
-    An int for a scalar score, an int array for an array.
-    """
+    """Map rank scores to -1 (<= t), +1 (>= 1-t) or 0 (strictly between):
+    an int array of the scores' shape, 0-d for a scalar."""
     check_t(t)
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all((scores >= 0.0) & (scores <= 1.0)):
         raise ValueError(f"scores must lie in [0, 1], got {scores}")
-    labels = np.where(scores <= t, -1, (scores >= 1.0 - t).astype(int))
-    return labels if labels.ndim else int(labels)
+    return np.where(scores <= t, -1, (scores >= 1.0 - t).astype(int))
 
 
 def _rank_and_label(query_values, reference_values, t: float):

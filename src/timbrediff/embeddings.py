@@ -46,7 +46,7 @@ class DistanceKind(Enum):
     @classmethod
     def parse(cls, name: str) -> "DistanceKind":
         try:
-            return cls(str(name).lower())
+            return cls(name)
         except ValueError:
             raise ValueError(f"unknown distance kind {name!r}") from None
 
@@ -244,6 +244,6 @@ def read_tdce(path):
     return ids, vectors
 
 
-def import_embeddings(path, provider_id: str = EXTERNAL_PROVIDER) -> list:
-    """Read a TDCE file and its id sidecar into a list of Embedding."""
-    return [Embedding(vec, provider_id, cid) for cid, vec in zip(*read_tdce(path))]
+def import_embeddings(path) -> list:
+    """Read a TDCE file and its id sidecar into a list of external Embeddings."""
+    return [Embedding(vec, EXTERNAL_PROVIDER, cid) for cid, vec in zip(*read_tdce(path))]

@@ -88,20 +88,23 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     del embeddings, timbre_rows     # our copies: only ids, vectors and blocks stay
 
     # Until the embeddings are in, the other files wait in `.tmp`s: a bad block leaves
-    # the old model whole.
-    with replacing(model_dir / TIMBRE_NAME) as staged, \
+    # the old model whole.  config.json, which marks a model directory, is renamed last.
+    with replacing(model_dir / CONFIG_NAME) as config_json, \
+            replacing(model_dir / NORMALIZATION_NAME) as norm_json, \
+            replacing(model_dir / TIMBRE_NAME) as timbre_csv, \
             replacing(model_dir / TIMBRE_ARRAY_NAME, "wb") as npy, \
             replacing(model_dir / CLIP_IDS_NAME) as ids_json:
-        staged.close()
-        write_rows(staged.name, TIMBRE_CSV_HEADER, timbre_csv_rows(clip_ids, timbre))
+        for text in (config_json, norm_json, timbre_csv):
+            text.close()        # each written by its one writer, into its `.tmp`
+        write_json(config_json.name, config)
+        write_json(norm_json.name, {"mean": normalization.mean.tolist(),
+                                    "std": normalization.std.tolist()})
+        write_rows(timbre_csv.name, TIMBRE_CSV_HEADER, timbre_csv_rows(clip_ids, timbre))
         np.save(npy, timbre, allow_pickle=False)
         del timbre
         json.dump(clip_ids, ids_json, separators=(",", ":"))
         ids_json.flush()        # its pending text, before the blocks are cast
         write_embeddings(model_dir / EMBEDDINGS_NAME, clip_ids, vectors)
-    write_json(model_dir / NORMALIZATION_NAME, {"mean": normalization.mean.tolist(),
-                                                "std": normalization.std.tolist()})
-    write_json(model_dir / CONFIG_NAME, config)
 
 
 def read_config(model_dir) -> dict:

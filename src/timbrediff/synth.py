@@ -1,9 +1,9 @@
 """Deterministic synthetic machine-sound benchmark.
 
 Clips are a harmonic stack over a rotation fundamental plus colored noise;
-anomaly causes perturb the mix (amplitude-modulated buzz, shelf filters,
-an injected tone).  Every clip's RNG seed derives from the master seed and
-the clip id, so regeneration is byte-identical.
+anomaly causes perturb the mix (amplitude-modulated buzz, shelf filters).
+Every clip's RNG seed derives from the master seed and the clip id, so
+regeneration is byte-identical.
 """
 
 import math
@@ -25,7 +25,6 @@ TRANSFORM_KINDS = {
     "am_buzz": ("mod_freq", "depth"),
     "high_shelf": ("cutoff", "gain_db"),
     "low_shelf": ("cutoff", "gain_db"),
-    "tone_inject": ("freq", "level"),
 }
 
 
@@ -44,10 +43,8 @@ class Transform:
         params = {k: float(self.params[k]) for k in expected}
         if self.kind == "am_buzz" and not 0.0 < params["depth"] <= 1.0:
             raise ValueError("am_buzz depth must lie in (0, 1]")
-        if self.kind in ("am_buzz", "tone_inject"):
-            freq = params.get("mod_freq", params.get("freq"))
-            if freq <= 0.0:
-                raise ValueError(f"{self.kind} frequency must be positive")
+        if self.kind == "am_buzz" and params["mod_freq"] <= 0.0:
+            raise ValueError("am_buzz frequency must be positive")
         if self.kind.endswith("_shelf") and params["cutoff"] <= 0.0:
             raise ValueError("shelf cutoff must be positive")
         object.__setattr__(self, "params", params)
@@ -63,10 +60,6 @@ def high_shelf(cutoff: float, gain_db: float) -> Transform:
 
 def low_shelf(cutoff: float, gain_db: float) -> Transform:
     return Transform("low_shelf", {"cutoff": cutoff, "gain_db": gain_db})
-
-
-def tone_inject(freq: float, level: float) -> Transform:
-    return Transform("tone_inject", {"freq": freq, "level": level})
 
 
 @dataclass(frozen=True)
@@ -169,12 +162,9 @@ def apply_transform(samples: np.ndarray, rate: int,
                     transform: Transform) -> np.ndarray:
     p = transform.params
     n = samples.size
-    t = np.arange(n) / rate
     if transform.kind == "am_buzz":
+        t = np.arange(n) / rate
         return samples * (1.0 + p["depth"] * np.sin(2.0 * np.pi * p["mod_freq"] * t))
-    if transform.kind == "tone_inject":
-        rms = np.sqrt((samples ** 2).mean())
-        return samples + p["level"] * rms * np.sin(2.0 * np.pi * p["freq"] * t)
     freqs = np.fft.rfftfreq(n, 1.0 / rate)
     mask = _shelf_gain_mask(freqs, p["cutoff"], p["gain_db"],
                             boost_high=transform.kind == "high_shelf")

@@ -7,8 +7,7 @@ the perceptual attributes, not calibrated psychoacoustic units.
 """
 
 import functools
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,9 +31,6 @@ DEPTH_CUTOFF_HZ = 200.0
 ROUGHNESS_MOD_BAND_HZ = (30.0, ENVELOPE_MOD_HZ)
 MIN_ROUGHNESS_DURATION = 0.25   # seconds
 
-TIMBRE_CSV_HEADER = ["clip_id", "sharpness", "roughness", "boominess",
-                     "brightness", "depth"]
-
 
 class SilentClipError(ValueError):
     """Clip carries no measurable spectral energy."""
@@ -44,23 +40,9 @@ class ClipTooShortError(ValueError):
     """Clip is too short for the requested analysis."""
 
 
-class TimbreAttribute(Enum):
-    """The five attributes, in fixed index order."""
-
-    SHARPNESS = 1
-    ROUGHNESS = 2
-    BOOMINESS = 3
-    BRIGHTNESS = 4
-    DEPTH = 5
-
-
-ATTRIBUTE_NAMES = tuple(a.name.lower() for a in TimbreAttribute)
-N_ATTRIBUTES = len(ATTRIBUTE_NAMES)
-
-
 @dataclass(frozen=True)
 class TimbreVector:
-    """One metric value per attribute, in TimbreAttribute order."""
+    """One metric value per attribute, in the fixed attribute order."""
 
     sharpness: float
     roughness: float
@@ -83,6 +65,12 @@ class TimbreVector:
         if values.shape != (N_ATTRIBUTES,):
             raise ValueError(f"expected {N_ATTRIBUTES} values, got shape {values.shape}")
         return cls(*map(float, values))
+
+
+# The attribute order is TimbreVector's field order.
+ATTRIBUTE_NAMES = tuple(f.name for f in fields(TimbreVector))
+N_ATTRIBUTES = len(ATTRIBUTE_NAMES)
+TIMBRE_CSV_HEADER = ["clip_id", *ATTRIBUTE_NAMES]   # a list, as read_rows compares the header
 
 
 # TimbreVector's invariants as (message, rows of [N x 5] breaking it).
@@ -205,22 +193,8 @@ def timbre_csv_rows(clip_ids, values):
     return zip(clip_ids, *(map("%.9g".__mod__, column) for column in np.asarray(values).T))
 
 
-def read_timbre_table(path):
-    """Read a timbre CSV into (clip ids, [N x 5] values), checked as TimbreVector."""
-    ids = []
-
-    def parse(_, fields):
-        values = np.array([float(v) for v in fields[1:]])
-        problem = _timbre_violation(values[None, :])
-        if problem is not None:
-            raise ValueError(problem[1])
-        ids.append(fields[0])
-        return values
-
-    values = read_rows(path, TIMBRE_CSV_HEADER, parse, unique="clip_id")
-    return ids, np.array(values, dtype=np.float64).reshape(-1, N_ATTRIBUTES)
-
-
 def read_timbre_csv(path) -> dict:
-    """Read a timbre CSV back into {clip_id: TimbreVector}, preserving order."""
-    return {cid: TimbreVector.from_array(row) for cid, row in zip(*read_timbre_table(path))}
+    """Read a timbre CSV into {clip_id: TimbreVector}, in file order; an error names the row."""
+    return dict(read_rows(path, TIMBRE_CSV_HEADER,
+                          lambda _, row: (row[0], TimbreVector(*map(float, row[1:]))),
+                          unique="clip_id"))

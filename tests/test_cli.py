@@ -16,7 +16,7 @@ import pytest
 import timbrediff
 from timbrediff import cli, frontend
 from timbrediff.cli import main
-from timbrediff.dataset import load_manifest
+from timbrediff.dataset import load_manifest, write_manifest_csv
 from timbrediff.detector import ReferenceSet, read_results_csv
 from timbrediff.embeddings import DistanceKind, import_embeddings, write_embeddings
 from timbrediff.frontend import AudioClip, save_wav
@@ -758,6 +758,9 @@ BAD_MODEL_VALUES = {
                       "int too large to convert to float"),
     "config_distance": ("config.json", lambda p: edit_json(p, "distance", "manhattan"),
                         "unknown distance kind 'manhattan'"),
+    "config_distance_capitalised": ("config.json",
+                                    lambda p: edit_json(p, "distance", "Euclidean"),
+                                    "unknown distance kind 'Euclidean'"),
     "config_provider_list": ("config.json", lambda p: edit_json(p, "provider", ["x"]),
                              "unknown provider ['x']"),
     "config_k_zero": ("config.json", lambda p: edit_json(p, "k", 0),
@@ -841,6 +844,33 @@ def test_gen_gt_rejects_t_prime_before_analysis(tiny_dataset, tmp_path, capsys, 
         f"error: --t-prime: threshold t must lie in [0, 0.5), got {float(value)}\n")
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage,kept,message", [
+    ("fit", lambda e: e.split == "test", "no training rows"),
+    ("score", lambda e: e.split == "train", "no test rows"),
+    ("gen-gt", lambda e: e.state == "normal", "no anomalous rows"),
+], ids=["fit", "score", "gen_gt"])
+def test_manifest_without_the_stage_rows_fails_before_analysis(
+        tiny_dataset, model_copy, tmp_path, capsys, monkeypatch, usable_cpus,
+        stage, kept, message):
+    usable_cpus(1)              # serial, so that every _analyse_clip call is seen
+    calls = []
+    monkeypatch.setattr(cli, "_analyse_clip", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "load_model", lambda *args: calls.append(args))
+    manifest = tmp_path / "manifest.csv"
+    write_manifest_csv(manifest, filter(kept, load_manifest(tiny_dataset / "manifest.csv")))
+    out = tmp_path / "out.csv"
+    out.write_text("previous output\n")
+    common = ["--manifest", manifest, "--audio-root", tiny_dataset]
+    argv = {"fit": ["fit", *common, "--provider", "spectral", "--k", "5", "--out", model_copy],
+            "score": ["score", "--model", model_copy, *common, "--out", out],
+            "gen-gt": ["gen-gt", *common, "--out", out]}[stage]
+    before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+    assert calls == []
+    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
 
 
 def test_config_k_above_rows_names_config(tiny_dataset, model_copy, capsys, tmp_path):

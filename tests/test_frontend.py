@@ -2,6 +2,7 @@ import math
 import re
 import struct
 import tracemalloc
+import wave
 
 import numpy as np
 import pytest
@@ -119,6 +120,27 @@ class TestWavIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(WavError, match=re.escape(f"{path}: samples must be finite")):
             load_wav(path)
+
+    @pytest.mark.parametrize("odd_at", [("before_fmt",), ("between",), ("after_data",),
+                                        ("before_fmt", "between", "after_data")],
+                             ids=["before_fmt", "between", "after_data", "everywhere"])
+    def test_odd_sized_chunks_are_skipped_with_their_pad_byte(self, tmp_path, odd_at):
+        def chunk(chunk_id, body):     # a RIFF chunk, word-aligned by a pad byte
+            return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) % 2)
+
+        frames = np.random.default_rng(3).integers(-32768, 32768, 101).astype("<i2")
+        chunks = [chunk(b"LIST", b"odd") if "before_fmt" in odd_at else b"",
+                  chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)),
+                  chunk(b"junk", b"\x01" * 5) if "between" in odd_at else b"",
+                  chunk(b"data", frames.tobytes()),
+                  chunk(b"note", b"x") if "after_data" in odd_at else b""]
+        body = b"WAVE" + b"".join(chunks)
+        path = tmp_path / "odd.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with wave.open(str(path), "rb") as reader:
+            expected = np.frombuffer(reader.readframes(reader.getnframes()), "<i2")
+        assert expected.tolist() == frames.tolist()
+        assert (load_wav(path).samples * 32768).tolist() == expected.tolist()
 
     def test_unsupported_codec(self, tmp_path):
         path = tmp_path / "alaw.wav"

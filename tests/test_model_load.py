@@ -29,7 +29,7 @@ from timbrediff.embeddings import (
     write_embeddings,
 )
 from timbrediff.store import ModelDirectoryError, load_model, save_model
-from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, read_timbre_table
+from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, read_timbre_csv
 
 BULK_ROWS = 2000
 DIM = 4
@@ -56,8 +56,9 @@ def exported(model_dir):
     """What the row-wise readers give for the exports: (ids, loaded()'s form of the
     embeddings, the timbre values as their 9-digit text reads back)."""
     ids, vectors = read_tdce(model_dir / "embeddings.tdce")
-    timbre_ids, values = read_timbre_table(model_dir / "timbre.csv")
-    assert timbre_ids == ids
+    timbre = read_timbre_csv(model_dir / "timbre.csv")
+    assert list(timbre) == ids
+    values = np.array([vec.as_array() for vec in timbre.values()]).reshape(-1, 5)
     return tuple(ids), (vectors.dtype, vectors.shape, vectors.flags.c_contiguous,
                         vectors.tobytes()), values
 

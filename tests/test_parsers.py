@@ -29,7 +29,7 @@ from timbrediff.embeddings import (
 )
 from timbrediff.frontend import WavError, load_wav
 from timbrediff.store import load_model, save_model
-from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, read_timbre_table
+from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, read_timbre_csv
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -75,7 +75,7 @@ def check_reader(tmp_path, name, content, read, errors):
 
 @pytest.mark.parametrize("header,read,error", [
     (MANIFEST_CSV_HEADER, load_manifest, ManifestError),
-    (TIMBRE_CSV_HEADER, read_timbre_table, ValueError),
+    (TIMBRE_CSV_HEADER, read_timbre_csv, ValueError),
     (RESULTS_CSV_HEADER, read_results_csv, ValueError),
     (GROUND_TRUTH_CSV_HEADER, read_ground_truth_csv, ValueError),
 ], ids=["manifest", "timbre", "results", "ground_truth"])
@@ -92,7 +92,7 @@ def test_csv_readers(tmp_path_factory, header, read, error):
 
 @pytest.mark.parametrize("header,read,error", [
     (MANIFEST_CSV_HEADER, load_manifest, ManifestError),
-    (TIMBRE_CSV_HEADER, read_timbre_table, ValueError),
+    (TIMBRE_CSV_HEADER, read_timbre_csv, ValueError),
 ], ids=["manifest", "timbre"])
 @pytest.mark.parametrize("ends", [["\n"], ["\r\n"], ["\r"], ["\r", "\r\n", "\n"]],
                          ids=["lf", "crlf", "cr", "mixed"])

@@ -14,7 +14,6 @@ from timbrediff.synth import (
     generate_clip,
     generate_dataset,
     high_shelf,
-    tone_inject,
 )
 from timbrediff.timbre import compute_timbre_vector
 
@@ -70,15 +69,6 @@ class TestGenerateClip:
         plain = compute_timbre_vector(generate_clip(conds[0], None, 1.0, 6))
         hissy = compute_timbre_vector(generate_clip(conds[0], hiss, 1.0, 6))
         assert hissy.brightness > plain.brightness
-
-    def test_tone_inject_supported(self):
-        cond = ConditionSpec("x", 100.0, 2, 0.7, 0.0, 0.2)
-        cause = AnomalyCauseSpec("whine", tone_inject(3000.0, 0.5),
-                                 (1, 0, 0, 1, 0))
-        clip = generate_clip(cond, cause, 1.0, 1)
-        plain = generate_clip(cond, None, 1.0, 1)
-        assert (compute_timbre_vector(clip).brightness
-                > compute_timbre_vector(plain).brightness)
 
     def test_peak_and_gain_envelope(self):
         conds, _ = default_benchmark_specs()

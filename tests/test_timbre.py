@@ -12,12 +12,10 @@ from timbrediff.timbre import (
     TIMBRE_CSV_HEADER,
     ClipTooShortError,
     SilentClipError,
-    TimbreAttribute,
     TimbreVector,
     _roughness,
     compute_timbre_vector,
     read_timbre_csv,
-    read_timbre_table,
     timbre_csv_rows,
 )
 
@@ -36,8 +34,8 @@ def two_tone_clip(f1, f2, duration=1.0):
 
 class TestAttributeModel:
     def test_five_ordered_attributes(self):
-        assert [a.name.lower() for a in TimbreAttribute] == list(ATTRIBUTE_NAMES)
-        assert [a.value for a in TimbreAttribute] == [1, 2, 3, 4, 5]
+        assert ATTRIBUTE_NAMES == ("sharpness", "roughness", "boominess", "brightness", "depth")
+        assert TIMBRE_CSV_HEADER == ["clip_id", *ATTRIBUTE_NAMES]
 
     def test_vector_invariants(self):
         with pytest.raises(ValueError):
@@ -332,7 +330,7 @@ class TestTimbreCsv:
                    timbre_csv_rows(["a", "b"], [[1.0, 0.1, 0.5, 1000.0, 0.5]] * 2))
         path.write_text(path.read_text() + bad_row + "\n")
         with pytest.raises(ValueError) as info:
-            read_timbre_table(path)
+            read_timbre_csv(path)
         assert str(info.value).startswith(f"{path}: {message}")
 
     def test_table_matches_vectors(self, tmp_path):
@@ -341,6 +339,4 @@ class TestTimbreCsv:
         path = tmp_path / "timbre.csv"
         write_rows(path, TIMBRE_CSV_HEADER,
                    timbre_csv_rows(["a", "b"], [vec.as_array() for _, vec in rows]))
-        ids, values = read_timbre_table(path)
-        assert ids == ["a", "b"]
-        np.testing.assert_array_equal(values, [v.as_array() for _, v in rows])
+        assert list(read_timbre_csv(path).items()) == rows

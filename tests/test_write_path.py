@@ -163,15 +163,22 @@ def test_non_finite_row_in_the_last_block_fails_before_the_write(tmp_path, bad, 
     fail_on_non_finite_row(tmp_path, via, bad, count, count - 1)
 
 
-def test_failed_save_leaves_the_previous_model_whole(tmp_path):
-    # The timbre files and clip_ids.json are staged before the embeddings,
-    # whose last row fails: none of the new model's files replaces an old one.
+@pytest.mark.parametrize("failing", ["embeddings.tdce", "normalization.json", "config.json"])
+def test_failed_save_leaves_the_previous_model_whole(tmp_path, failing):
+    # Every other file is staged until the embeddings are in.  The write that fails
+    # is the last embedding row's, or that of a JSON file whose `.tmp` is a directory:
+    # none of the new model's files replaces an old one.
     save_vectors(tmp_path, ["c0", "c1", "c2", "c3"], np.ones((4, 2)))
     before = snapshot(tmp_path)
     vectors = np.ones((4, 2))
-    vectors[3, 1] = np.nan
-    with pytest.raises(ValueError, match=re.escape(
-            f"{tmp_path / 'embeddings.tdce'}: embedding row 3 (clip 'd3') is not finite")):
+    if failing == "embeddings.tdce":
+        vectors[3, 1] = np.nan
+        raised = pytest.raises(ValueError, match=re.escape(
+            f"{tmp_path / failing}: embedding row 3 (clip 'd3') is not finite"))
+    else:
+        (tmp_path / f"{failing}.tmp").mkdir()
+        raised = pytest.raises(OSError)
+    with raised:
         save_vectors(tmp_path, ["d0", "d1", "d2", "d3"], vectors)
     assert snapshot(tmp_path) == before
     assert load_model(tmp_path)[0].clip_ids == ("c0", "c1", "c2", "c3")
