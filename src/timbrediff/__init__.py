@@ -19,7 +19,7 @@ from .detector import (
     score_clip,
 )
 from .dataset import ManifestEntry, auc, generate_ground_truth, load_manifest
-from .evaluation import EvalReport, build_report, normalized_mae
+from .evaluation import build_report, normalized_mae
 from .synth import default_benchmark_specs, generate_clip, generate_dataset
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "ReferenceSet", "TimbreDiffResult", "global_baseline_score", "knn",
     "score_clip",
     "ManifestEntry", "auc", "generate_ground_truth", "load_manifest",
-    "EvalReport", "build_report", "normalized_mae",
+    "build_report", "normalized_mae",
     "default_benchmark_specs", "generate_clip", "generate_dataset",
     "__version__",
 ]

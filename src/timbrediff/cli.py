@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .csvrows import write_json
 from .dataset import (
     DEFAULT_T_PRIME,
     ManifestError,
@@ -45,7 +46,7 @@ from .embeddings import (
     read_tdce,
     spectral_features,
 )
-from .evaluation import build_report, write_report_json
+from .evaluation import build_report
 from .frontend import CANONICAL_RATE, WavError, load_wav, resample, stft_power
 from .store import CONFIG_NAME, load_model, read_config, save_model
 from .synth import default_benchmark_specs, generate_dataset
@@ -277,11 +278,9 @@ def cmd_score(args) -> int:
     bad = np.flatnonzero(~np.isfinite(queries).all(axis=1))    # only --embeddings can overflow
     if bad.size:
         raise ValueError(f"{args.embeddings}: clip {clip_ids[bad[0]]!r}: z-scores not finite")
-    results = score_clips(ref, clip_ids, queries, timbre,
-                          config["k"], config["t"], baseline=args.baseline)
-
-    write_results_csv(args.out, results)
-    _log(f"score: {len(results)} test clips, k={config['k']}, t={config['t']}, "
+    results = score_clips(ref, queries, timbre, config["k"], config["t"], args.baseline)
+    write_results_csv(args.out, clip_ids, *results[:3])
+    _log(f"score: {len(clip_ids)} test clips, k={config['k']}, t={config['t']}, "
          f"baseline={args.baseline or 'knn'}, results at {args.out}")
     return 0
 
@@ -297,9 +296,9 @@ def cmd_gen_gt(args) -> int:
         raise ManifestError(f"{args.manifest}: no anomalous rows")
     needed = [e for e in entries if e.split == "train" or e.state == "anomalous"]
     clip_ids, timbre, _, _ = _analyse(args, needed)
-    records = generate_ground_truth(entries, clip_ids, timbre, t_prime=args.t_prime)
-    write_ground_truth_csv(args.out, records)
-    stats = ground_truth_statistics(records)
+    groups, scores, labels = generate_ground_truth(entries, clip_ids, timbre, args.t_prime)
+    write_ground_truth_csv(args.out, groups, scores, labels)
+    stats = ground_truth_statistics(labels)
     _log(f"gen-gt: t_prime: {args.t_prime:g}, {stats['groups']} groups, "
          f"ground truth at {args.out}")
     print(json.dumps(stats, indent=2, sort_keys=True))
@@ -307,13 +306,13 @@ def cmd_gen_gt(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    results = read_results_csv(args.results)
-    records = read_ground_truth_csv(args.gt)
+    clip_ids, anomaly, _, labels = read_results_csv(args.results)
+    groups, _, truth = read_ground_truth_csv(args.gt)
     entries = load_manifest(args.manifest)
-    report = build_report(results, entries, records)
-    write_report_json(args.out, report)
-    _log(f"eval: detection_auc={report.detection_auc:.4f}, "
-         f"mean_mae={report.mean_mae:.4f}, report at {args.out}")
+    report = build_report(clip_ids, anomaly, labels, entries, groups, truth)
+    write_json(args.out, report)
+    _log(f"eval: detection_auc={report['detection_auc']:.4f}, "
+         f"mean_mae={report['mean_mae']:.4f}, report at {args.out}")
     return 0
 
 

@@ -58,19 +58,6 @@ class ManifestEntry:
             raise ManifestError("anomalous entries must carry a cause")
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
-    condition_id: str
-    cause_id: str
-    scores: np.ndarray    # per-attribute AUC in [0, 1]
-    labels: np.ndarray    # per-attribute {-1, 0, 1}
-
-    def __post_init__(self):
-        scores, labels = check_scores_and_labels(self.scores, self.labels, "ground truth")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels)
-
-
 # ---------------------------------------------------------------------------
 # Manifest CSV
 # ---------------------------------------------------------------------------
@@ -91,9 +78,9 @@ def write_manifest_csv(path, entries) -> None:
 # Ground truth generation
 # ---------------------------------------------------------------------------
 
-def generate_ground_truth(entries, clip_ids, timbre,
-                          t_prime: float = DEFAULT_T_PRIME) -> list:
-    """One labeled record per (condition, cause) group of anomalous clips.
+def generate_ground_truth(entries, clip_ids, timbre, t_prime: float = DEFAULT_T_PRIME):
+    """The sorted (condition, cause) groups of anomalous clips, with their
+    [G x 5] scores and labels.
 
     Row i of the [N x 5] `timbre` holds the metric values of clip_ids[i].
     Per attribute, the score is the AUC of the group's metric values
@@ -110,8 +97,8 @@ def generate_ground_truth(entries, clip_ids, timbre,
         if entry.state == "anomalous":
             groups.setdefault((entry.condition_id, entry.cause_id), []).append(entry)
 
-    records = []
-    for (condition_id, cause_id) in sorted(groups):
+    keys, scores = sorted(groups), []
+    for (condition_id, cause_id) in keys:
         if condition_id not in train_by_condition:
             raise GroundTruthError(
                 f"condition {condition_id!r} has anomalous clips but no normal "
@@ -123,46 +110,23 @@ def generate_ground_truth(entries, clip_ids, timbre,
         if missing:
             raise GroundTruthError(f"missing timbre vector for clip {missing[0]!r}")
         values = timbre[[row_of[e.clip_id] for e in members]]
-        scores = np.array([
-            auc(values[:len(normal), col], values[len(normal):, col])
-            for col in range(N_ATTRIBUTES)
-        ])
-        records.append(GroundTruthRecord(condition_id, cause_id, scores,
-                                         threshold_label(scores, t_prime)))
-    return records
+        scores.append([auc(values[:len(normal), col], values[len(normal):, col])
+                       for col in range(N_ATTRIBUTES)])
+    scores = np.array(scores, dtype=np.float64).reshape(-1, N_ATTRIBUTES)
+    return keys, scores, threshold_label(scores, t_prime)
 
 
-def assign_labels(entries, records) -> dict:
-    """Map each anomalous clip to its group's label vector."""
-    by_group = {(r.condition_id, r.cause_id): r for r in records}
-    out = {}
-    for entry in entries:
-        if entry.state != "anomalous":
-            continue
-        key = (entry.condition_id, entry.cause_id)
-        if key not in by_group:
-            raise GroundTruthError(
-                f"clip {entry.clip_id!r}: no ground truth record for condition "
-                f"{entry.condition_id!r}, cause {entry.cause_id!r}"
-            )
-        out[entry.clip_id] = by_group[key].labels.copy()
-    return out
-
-
-def ground_truth_statistics(records) -> dict:
-    """Group count, unique label-vector count and label value tallies."""
-    records = list(records)
-    if not records:
-        raise ValueError("statistics need at least one record")
-    all_labels = np.concatenate([r.labels for r in records])
+def ground_truth_statistics(labels) -> dict:
+    """Group count, unique label-vector count and label value tallies of
+    [G x 5] labels."""
+    labels = np.asarray(labels, dtype=int)
+    if not len(labels):
+        raise ValueError("statistics need at least one group")
     return {
-        "groups": len(records),
-        "unique_vectors": len({tuple(r.labels.tolist()) for r in records}),
-        "counts": {
-            "minus": int((all_labels == -1).sum()),
-            "zero": int((all_labels == 0).sum()),
-            "plus": int((all_labels == 1).sum()),
-        },
+        "groups": len(labels),
+        "unique_vectors": len({tuple(row) for row in labels.tolist()}),
+        "counts": {name: int((labels == value).sum())
+                   for name, value in (("minus", -1), ("zero", 0), ("plus", 1))},
     }
 
 
@@ -170,14 +134,16 @@ def ground_truth_statistics(records) -> dict:
 # Ground truth CSV
 # ---------------------------------------------------------------------------
 
-def write_ground_truth_csv(path, records) -> None:
+def write_ground_truth_csv(path, groups, scores, labels) -> None:
     write_rows(path, GROUND_TRUTH_CSV_HEADER, (
-        [rec.condition_id, rec.cause_id, name,
-         f"{rec.scores[col]:.9g}", str(int(rec.labels[col]))]
-        for rec in records for col, name in enumerate(ATTRIBUTE_NAMES)))
+        [condition, cause, name, f"{row[col]:.9g}", str(int(marks[col]))]
+        for (condition, cause), row, marks in zip(groups, scores, labels)
+        for col, name in enumerate(ATTRIBUTE_NAMES)))
 
 
-def read_ground_truth_csv(path) -> list:
+def read_ground_truth_csv(path):
+    """(groups in file order, [G x 5] scores, [G x 5] labels), each group
+    checked; errors name the file and the row or group."""
     groups = {}         # (condition, cause) -> {attribute: (score, label, row)}
 
     def add(row, fields):
@@ -191,13 +157,17 @@ def read_ground_truth_csv(path) -> list:
         values[attribute] = (float(score), int(label), row)
 
     read_rows(path, GROUND_TRUTH_CSV_HEADER, add)
-    records = []
+    scores, labels = [], []
     for key, values in groups.items():
         if set(values) != set(ATTRIBUTE_NAMES):
             raise ValueError(f"{path}: group {key} is missing attributes")
-        scores, labels, _ = zip(*(values[name] for name in ATTRIBUTE_NAMES))
+        group_scores, group_labels, _ = zip(*(values[name] for name in ATTRIBUTE_NAMES))
         try:
-            records.append(GroundTruthRecord(*key, scores, labels))
+            group_scores, group_labels = check_scores_and_labels(group_scores, group_labels,
+                                                                 "ground truth")
         except ValueError as exc:
             raise ValueError(f"{path}: group {key}: {exc}") from None
-    return records
+        scores.append(group_scores)
+        labels.append(group_labels)
+    return (list(groups), np.array(scores).reshape(-1, N_ATTRIBUTES),
+            np.array(labels, dtype=int).reshape(-1, N_ATTRIBUTES))

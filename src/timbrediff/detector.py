@@ -7,7 +7,7 @@ ranks each timbre metric against the neighbors' values to decide whether
 the attribute increased (+1), decreased (-1) or stayed unchanged (0).
 """
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -85,21 +85,11 @@ def check_scores_and_labels(scores, labels, kind: str):
 
 @dataclass(frozen=True)
 class TimbreDiffResult:
-    clip_id: str
+    """score_clip's answer for one clip: one row of each array score_clips returns."""
     anomaly_score: float
     attribute_scores: np.ndarray       # 5 values in [0, 1]
     attribute_labels: np.ndarray       # 5 values in {-1, 0, 1}
-    neighbor_indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-
-    def __post_init__(self):
-        scores, labels = check_scores_and_labels(self.attribute_scores,
-                                                 self.attribute_labels, "attribute")
-        if self.anomaly_score < 0.0 or not np.isfinite(self.anomaly_score):
-            raise ValueError("anomaly score must be finite and nonnegative")
-        object.__setattr__(self, "attribute_scores", scores)
-        object.__setattr__(self, "attribute_labels", labels)
-        object.__setattr__(self, "neighbor_indices",
-                           np.asarray(self.neighbor_indices, dtype=int))
+    neighbor_indices: np.ndarray       # its k reference rows, nearest first
 
 
 def _gram_candidates(matrix, queries, kind, k: int) -> list:
@@ -181,11 +171,12 @@ def knn(ref: ReferenceSet, queries, k: int):
     return indices, distances
 
 
-def anomaly_score(distances) -> float:
-    """Mean distance over the neighbors."""
-    if np.size(distances) == 0:
+def anomaly_score(distances):
+    """Mean distance over the neighbors: a float of k distances, or [Q] of
+    [Q x k]."""
+    if np.shape(distances)[-1] == 0:
         raise ValueError("anomaly score needs at least one neighbor")
-    return float(np.mean(distances))
+    return np.mean(distances, axis=-1)
 
 
 def _u_counts(values, reference) -> np.ndarray:
@@ -236,36 +227,28 @@ def threshold_label(scores, t: float):
     return np.where(scores <= t, -1, (scores >= 1.0 - t).astype(int))
 
 
-def _rank_and_label(query_values, reference_values, t: float):
-    """Rank scores and labels of [..., 5] values against [N x 5] rows."""
-    scores = np.stack([
-        timbre_rank_score(query_values[..., col], reference_values[:, col])
-        for col in range(N_ATTRIBUTES)
-    ], axis=-1)
-    return scores, threshold_label(scores, t)
-
-
-def score_clips(ref: ReferenceSet, clip_ids, queries, values,
-                k: int = DEFAULT_K, t: float = DEFAULT_T, baseline=None) -> list:
-    """One TimbreDiffResult per query: clip_ids[i], row i of the [Q x D]
-    embeddings and row i of the [Q x 5] raw timbre values, all answered by
-    one kNN search.  With baseline="global", attribute scores and labels
-    rank each query against every training clip instead of its neighbors.
+def score_clips(ref: ReferenceSet, queries, values,
+                k: int = DEFAULT_K, t: float = DEFAULT_T, baseline=None):
+    """Row i of the [Q x D] embeddings and of the [Q x 5] raw timbre values,
+    all answered by one kNN search: [Q] anomaly scores, [Q x 5] attribute
+    scores and labels, and the [Q x k] neighbour rows.  Each query's values
+    are ranked against its neighbours' in one count, or, with
+    baseline="global", against every training clip.
     """
+    if baseline not in (None, "global"):
+        raise ValueError(f"unknown baseline {baseline!r}")
     indices, distances = knn(ref, queries, k)
     values = np.asarray(values, dtype=np.float64)
-    if len(clip_ids) != len(indices) or values.shape != (len(indices), N_ATTRIBUTES):
-        raise ValueError(f"need a clip id and {N_ATTRIBUTES} timbre values per query")
+    if values.shape != (len(indices), N_ATTRIBUTES) or not np.isfinite(values).all():
+        raise ValueError(f"need {N_ATTRIBUTES} finite timbre values per query")
     if baseline == "global":
-        ranked = zip(*global_baseline_score(ref, values, t))
-    elif baseline is None:
-        ranked = (_rank_and_label(v, ref.timbre_values[rows], t)
-                  for v, rows in zip(values, indices))
-    else:
-        raise ValueError(f"unknown baseline {baseline!r}")
-    return [TimbreDiffResult(clip_id, anomaly_score(dists), scores, labels, rows)
-            for clip_id, dists, (scores, labels), rows
-            in zip(clip_ids, distances, ranked, indices)]
+        scores, labels = global_baseline_score(ref, values, t)
+    else:       # _u_counts' half-integers, over each query's [k x 5] neighbour values
+        neighbours = ref.timbre_values[indices]
+        below = (neighbours < values[:, None]).sum(axis=1)
+        scores = (below + 0.5 * (neighbours == values[:, None]).sum(axis=1)) / k
+        labels = threshold_label(scores, t)
+    return anomaly_score(distances), scores, labels, indices
 
 
 def score_clip(ref: ReferenceSet, query_embedding: Embedding, query_timbre,
@@ -274,8 +257,8 @@ def score_clip(ref: ReferenceSet, query_embedding: Embedding, query_timbre,
     score_clips on one query, an Embedding of the reference set's provider."""
     if query_embedding.provider_id != ref.provider_id:
         raise ValueError(f"query is not a {ref.provider_id!r} embedding")
-    return score_clips(ref, [query_embedding.clip_id], [query_embedding.vector],
-                       [query_timbre.as_array()], k, t)[0]
+    return TimbreDiffResult(*(rows[0] for rows in score_clips(
+        ref, [query_embedding.vector], [query_timbre.as_array()], k, t)))
 
 
 def global_baseline_score(ref: ReferenceSet, query_values, t: float = DEFAULT_T):
@@ -284,25 +267,33 @@ def global_baseline_score(ref: ReferenceSet, query_values, t: float = DEFAULT_T)
     query_values = np.asarray(query_values, dtype=np.float64)
     if query_values.ndim != 2 or query_values.shape[1] != N_ATTRIBUTES:
         raise ValueError(f"query values must be [Q x {N_ATTRIBUTES}]")
-    return _rank_and_label(query_values, ref.timbre_values, t)
+    scores = np.stack([timbre_rank_score(query_values[:, col], ref.timbre_values[:, col])
+                       for col in range(N_ATTRIBUTES)], axis=-1)
+    return scores, threshold_label(scores, t)
 
 
 # ---------------------------------------------------------------------------
 # Results CSV
 # ---------------------------------------------------------------------------
 
-def write_results_csv(path, results) -> None:
+def write_results_csv(path, clip_ids, anomaly, scores, labels) -> None:
     write_rows(path, RESULTS_CSV_HEADER, (
-        [res.clip_id, f"{res.anomaly_score:.9g}"]
-        + [f"{s:.9g}" for s in res.attribute_scores]
-        + [str(int(l)) for l in res.attribute_labels]
-        for res in results))
+        [clip_id, f"{score:.9g}"] + [f"{s:.9g}" for s in row] + [str(int(l)) for l in marks]
+        for clip_id, score, row, marks in zip(clip_ids, anomaly, scores, labels)))
 
 
-def read_results_csv(path) -> list:
-    return read_rows(path, RESULTS_CSV_HEADER, lambda _, row: TimbreDiffResult(
-        clip_id=row[0],
-        anomaly_score=float(row[1]),
-        attribute_scores=np.array([float(v) for v in row[2:7]]),
-        attribute_labels=np.array([int(v) for v in row[7:12]]),
-    ), unique="clip_id")
+def read_results_csv(path):
+    """(clip ids, [C] anomaly scores, [C x 5] scores, [C x 5] labels), each
+    row checked; errors name the file and the row."""
+    def parse(_, row):
+        score = float(row[1])
+        scores, labels = check_scores_and_labels([float(v) for v in row[2:7]],
+                                                 [int(v) for v in row[7:12]], "attribute")
+        if score < 0.0 or not np.isfinite(score):
+            raise ValueError("anomaly score must be finite and nonnegative")
+        return row[0], score, scores, labels
+
+    rows = read_rows(path, RESULTS_CSV_HEADER, parse, unique="clip_id")
+    ids, anomaly, scores, labels = zip(*rows) if rows else ((),) * 4
+    return (list(ids), np.array(anomaly, dtype=np.float64), np.reshape(scores, (-1, N_ATTRIBUTES)),
+            np.array(labels, dtype=int).reshape(-1, N_ATTRIBUTES))

@@ -60,9 +60,11 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     rows as write_embeddings streams it.  A failed save leaves the old model whole.
     """
     model_dir = Path(model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
     embeddings = list(embeddings)
     timbre_rows = list(timbre_rows)
+    if not embeddings:
+        raise ValueError(f"{model_dir}: a model needs at least one training row")
+    model_dir.mkdir(parents=True, exist_ok=True)
     clip_ids = [e.clip_id for e in embeddings]
     if clip_ids != [cid for cid, _ in timbre_rows]:
         raise ModelDirectoryError("embedding and timbre clip ids must align")
@@ -76,12 +78,12 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     config = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
-        "provider": embeddings[0].provider_id if embeddings else "",
+        "provider": embeddings[0].provider_id,
         "distance": distance_kind.value,
         "k": int(k),
         "t": float(t),
         "count": len(clip_ids),
-        "dim": dims.pop() if dims else 0,
+        "dim": dims.pop(),
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "tool_version": __version__,
     }

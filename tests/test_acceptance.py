@@ -179,19 +179,19 @@ def test_c06_ground_truth_recovers_intended_directions(default_benchmark,
     start = time.perf_counter()
     clip_ids = list(timbre)
     values = np.array([vec.as_array() for vec in timbre.values()])
-    records = generate_ground_truth(default_benchmark.manifest, clip_ids, values,
-                                    t_prime=0.05)
+    groups, _, labels = generate_ground_truth(default_benchmark.manifest, clip_ids, values,
+                                              t_prime=0.05)
     by_cause = {c.cause_id: c for c in default_benchmark.causes}
     matched = opposite = total = 0
-    for record in records:
-        intended = by_cause[record.cause_id].intended_directions
+    for (_, cause_id), row in zip(groups, labels):
+        intended = by_cause[cause_id].intended_directions
         for col, direction in enumerate(intended):
             if direction == 0:
                 continue
             total += 1
-            if record.labels[col] == direction:
+            if row[col] == direction:
                 matched += 1
-            elif record.labels[col] == -direction:
+            elif row[col] == -direction:
                 opposite += 1
     elapsed = time.perf_counter() - start
     assert matched / total >= 0.90
@@ -382,20 +382,20 @@ def test_c10_normalized_mae_matches_brute_force():
     rng = np.random.default_rng(1010)
     for _ in range(200):
         n = int(rng.integers(1, 21))
-        truths = {f"clip{i}": rng.integers(-1, 2, 5) for i in range(n)}
-        predictions = {f"clip{i}": rng.integers(-1, 2, 5) for i in range(n)}
+        truths = np.array([rng.integers(-1, 2, 5) for _ in range(n)])
+        predictions = np.array([rng.integers(-1, 2, 5) for _ in range(n)])
         # Brute-force restatement: per attribute, average the per-class-
         # weighted absolute errors over the classes present.
         expected = []
         for col in range(5):
             class_counts = {}
-            for labels in truths.values():
+            for labels in truths:
                 y = int(labels[col])
                 class_counts[y] = class_counts.get(y, 0) + 1
             total = 0.0
-            for clip_id, labels in truths.items():
+            for clip, labels in enumerate(truths):
                 y = int(labels[col])
-                error = abs(int(predictions[clip_id][col]) - y)
+                error = abs(int(predictions[clip][col]) - y)
                 total += error / class_counts[y]
             expected.append(total / len(class_counts))
         got = normalized_mae(predictions, truths)

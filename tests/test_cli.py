@@ -296,7 +296,7 @@ class TestScoreCommand:
                        "--k", "5") == 0
         entries = load_manifest(tiny_dataset / "manifest.csv")
         n_test = sum(1 for e in entries if e.split == "test")
-        assert len(read_results_csv(out1)) == n_test
+        assert len(read_results_csv(out1)[0]) == n_test
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_self_match_train_clip(self, tiny_dataset, fitted, tmp_path):
@@ -312,9 +312,9 @@ class TestScoreCommand:
         out = tmp_path / "self.csv"
         assert run("score", "--model", fitted, "--manifest", manifest,
                    "--audio-root", root, "--out", out, "--k", "1") == 0
-        result = read_results_csv(out)[0]
-        assert result.anomaly_score == 0.0
-        assert np.all(result.attribute_labels == 0)
+        _, anomaly, _, labels = read_results_csv(out)
+        assert anomaly[0] == 0.0
+        assert np.all(labels[0] == 0)
 
     @pytest.mark.parametrize("provider", ["spectral", "timbre"])
     def test_copies_of_training_clips_match_themselves(self, tiny_dataset, fitted, tmp_path,
@@ -333,12 +333,11 @@ class TestScoreCommand:
         out = tmp_path / "copies_results.csv"
         assert run("score", "--model", model, "--manifest", manifest,
                    "--audio-root", tiny_dataset, "--out", out, "--k", "1") == 0
-        results = read_results_csv(out)
-        assert len(results) == len(train) == 18
-        for result in results:
-            assert result.anomaly_score == 0.0
-            assert np.all(result.attribute_scores == 0.5)
-            assert np.all(result.attribute_labels == 0)
+        ids, anomaly, scores, labels = read_results_csv(out)
+        assert len(ids) == len(train) == 18
+        assert np.all(anomaly == 0.0)
+        assert np.all(scores == 0.5)
+        assert np.all(labels == 0)
 
     @pytest.mark.parametrize("baseline", [[], ["--baseline", "global"]], ids=["knn", "global"])
     def test_overrides_score_as_a_model_fitted_with_them(self, tiny_dataset, fitted, tmp_path,
@@ -385,13 +384,11 @@ class TestScoreCommand:
         run("score", "--model", fitted, "--manifest",
             tiny_dataset / "manifest.csv", "--audio-root", tiny_dataset,
             "--out", out_glob, "--k", "5", "--baseline", "global")
-        knn_rows = read_results_csv(out_knn)
-        glob_rows = read_results_csv(out_glob)
+        _, knn_anomaly, knn_scores, _ = read_results_csv(out_knn)
+        _, glob_anomaly, glob_scores, _ = read_results_csv(out_glob)
         # anomaly scores identical, attribute scores generally not
-        assert all(a.anomaly_score == b.anomaly_score
-                   for a, b in zip(knn_rows, glob_rows))
-        assert any(not np.array_equal(a.attribute_scores, b.attribute_scores)
-                   for a, b in zip(knn_rows, glob_rows))
+        assert np.array_equal(knn_anomaly, glob_anomaly)
+        assert any(not np.array_equal(a, b) for a, b in zip(knn_scores, glob_scores))
 
 
 class TestExternalProvider:
@@ -420,10 +417,10 @@ class TestExternalProvider:
                    "--manifest", tiny_dataset / "manifest.csv",
                    "--audio-root", tiny_dataset, "--embeddings", tdce,
                    "--out", out, "--k", "5", "--distance", "euclidean") == 0
-        rows = read_results_csv(out)
+        ids, anomaly, _, _ = read_results_csv(out)
         anomalous = {e.clip_id for e in entries if e.state == "anomalous"}
-        scores_anom = [r.anomaly_score for r in rows if r.clip_id in anomalous]
-        scores_norm = [r.anomaly_score for r in rows if r.clip_id not in anomalous]
+        scores_anom = [a for cid, a in zip(ids, anomaly) if cid in anomalous]
+        scores_norm = [a for cid, a in zip(ids, anomaly) if cid not in anomalous]
         assert min(scores_anom) > max(scores_norm)
 
     def test_tdce_missing_clip_names_file_and_clip(self, tiny_dataset, tmp_path,

@@ -3,10 +3,8 @@ import pytest
 
 from timbrediff.dataset import (
     GroundTruthError,
-    GroundTruthRecord,
     ManifestEntry,
     ManifestError,
-    assign_labels,
     auc,
     generate_ground_truth,
     ground_truth_statistics,
@@ -153,10 +151,11 @@ class TestGenerateGroundTruth:
         entries = self.manifest_one_group()
         timbre = {f"n{i}": uniform_vector(0.1 + 0.01 * i) for i in range(4)}
         timbre.update({f"a{i}": uniform_vector(0.5 + 0.01 * i) for i in range(3)})
-        records = generate_ground_truth(entries, *as_arrays(timbre), 0.05)
-        assert len(records) == 1
-        assert np.all(records[0].scores == 1.0)
-        assert np.all(records[0].labels == 1)
+        groups, scores, labels = generate_ground_truth(entries, *as_arrays(timbre), 0.05)
+        assert groups == [("c1", "q1")]
+        assert scores.shape == labels.shape == (1, 5)
+        assert np.all(scores == 1.0)
+        assert np.all(labels == 1)
 
     def test_identical_sets_give_zero(self):
         entries = [entry("n0", "train", "normal", "c1"),
@@ -165,9 +164,9 @@ class TestGenerateGroundTruth:
                    entry("a1", "test", "anomalous", "c1", "q1")]
         timbre = {"n0": uniform_vector(0.2), "n1": uniform_vector(0.4),
                   "a0": uniform_vector(0.2), "a1": uniform_vector(0.4)}
-        records = generate_ground_truth(entries, *as_arrays(timbre), 0.05)
-        assert np.all(records[0].scores == 0.5)
-        assert np.all(records[0].labels == 0)
+        _, scores, labels = generate_ground_truth(entries, *as_arrays(timbre), 0.05)
+        assert np.all(scores[0] == 0.5)
+        assert np.all(labels[0] == 0)
 
     def test_score_exactly_at_threshold_labels_minus(self):
         # 20 normals, 1 anomaly beating exactly one of them: AUC = 1/20.
@@ -175,9 +174,9 @@ class TestGenerateGroundTruth:
         entries.append(entry("a0", "test", "anomalous", "c1", "q1"))
         timbre = {f"n{i}": uniform_vector(0.3 + 0.01 * i) for i in range(20)}
         timbre["a0"] = uniform_vector(0.305)  # above n0 only
-        records = generate_ground_truth(entries, *as_arrays(timbre), 0.05)
-        assert np.all(records[0].scores == 0.05)
-        assert np.all(records[0].labels == -1)
+        _, scores, labels = generate_ground_truth(entries, *as_arrays(timbre), 0.05)
+        assert np.all(scores[0] == 0.05)
+        assert np.all(labels[0] == -1)
 
     def test_missing_condition_normals(self):
         entries = [entry("n0", "train", "normal", "c1"),
@@ -213,66 +212,39 @@ class TestGenerateGroundTruth:
         rng = np.random.default_rng(67)
         timbre = {e.clip_id: uniform_vector(float(rng.uniform(0.1, 0.9)))
                   for e in entries}
-        records_a = generate_ground_truth(entries, *as_arrays(timbre))
-        records_b = generate_ground_truth(list(reversed(entries)), *as_arrays(timbre))
-        assert len(records_a) == len(records_b)
-        for a, b in zip(records_a, records_b):
-            assert np.array_equal(a.scores, b.scores)
-            assert np.array_equal(a.labels, b.labels)
-
-
-class TestAssignLabels:
-    def records(self):
-        return [GroundTruthRecord("c1", "q1", np.full(5, 0.99),
-                                  np.ones(5, dtype=int))]
-
-    def test_shared_group_shares_labels(self):
-        entries = [entry("a0", "test", "anomalous", "c1", "q1"),
-                   entry("a1", "test", "anomalous", "c1", "q1"),
-                   entry("n0", "test", "normal", "c1")]
-        labels = assign_labels(entries, self.records())
-        assert np.array_equal(labels["a0"], labels["a1"])
-        assert "n0" not in labels
-
-    def test_unknown_cause(self):
-        entries = [entry("a0", "test", "anomalous", "c1", "q_other")]
-        with pytest.raises(GroundTruthError, match="a0"):
-            assign_labels(entries, self.records())
+        groups_a, scores_a, labels_a = generate_ground_truth(entries, *as_arrays(timbre))
+        groups_b, scores_b, labels_b = generate_ground_truth(list(reversed(entries)),
+                                                             *as_arrays(timbre))
+        assert groups_a == groups_b
+        assert np.array_equal(scores_a, scores_b)
+        assert np.array_equal(labels_a, labels_b)
 
 
 class TestStatistics:
     def test_counting(self):
-        zero = GroundTruthRecord("c", "q", np.full(5, 0.5), np.zeros(5, dtype=int))
-        records = [GroundTruthRecord(f"c{i}", "q", zero.scores, zero.labels)
-                   for i in range(4)]
-        stats = ground_truth_statistics(records)
+        stats = ground_truth_statistics(np.zeros((4, 5), dtype=int))
         assert stats == {"groups": 4, "unique_vectors": 1,
                          "counts": {"minus": 0, "zero": 20, "plus": 0}}
 
     def test_unique_vectors(self):
         up = np.array([1, 0, 0, 0, 0], dtype=int)
         down = np.array([-1, 0, 0, 0, 0], dtype=int)
-        records = [GroundTruthRecord("c1", "q1", np.full(5, 0.5), up),
-                   GroundTruthRecord("c2", "q1", np.full(5, 0.5), down)]
-        stats = ground_truth_statistics(records)
+        stats = ground_truth_statistics(np.array([up, down]))
         assert stats["unique_vectors"] == 2
         assert stats["counts"] == {"minus": 1, "zero": 8, "plus": 1}
 
 
 class TestGroundTruthCsv:
     def test_roundtrip(self, tmp_path):
-        records = [
-            GroundTruthRecord("c1", "q1", np.array([1.0, 0.5, 0.0, 0.25, 0.75]),
-                              np.array([1, 0, -1, 0, 0], dtype=int)),
-            GroundTruthRecord("c2", "q2", np.full(5, 0.5), np.zeros(5, dtype=int)),
-        ]
+        groups = [("c1", "q1"), ("c2", "q2")]
+        scores = np.array([[1.0, 0.5, 0.0, 0.25, 0.75], np.full(5, 0.5)])
+        labels = np.array([[1, 0, -1, 0, 0], np.zeros(5, dtype=int)])
         path = tmp_path / "gt.csv"
-        write_ground_truth_csv(path, records)
+        write_ground_truth_csv(path, groups, scores, labels)
         lines = path.read_text().splitlines()
         assert lines[0] == "condition,cause,attribute,score,label"
         assert len(lines) == 1 + 10
-        loaded = read_ground_truth_csv(path)
-        assert [(r.condition_id, r.cause_id) for r in loaded] == [
-            ("c1", "q1"), ("c2", "q2")]
-        np.testing.assert_array_equal(loaded[0].labels, records[0].labels)
-        np.testing.assert_allclose(loaded[0].scores, records[0].scores)
+        loaded_groups, loaded_scores, loaded_labels = read_ground_truth_csv(path)
+        assert loaded_groups == [("c1", "q1"), ("c2", "q2")]
+        np.testing.assert_array_equal(loaded_labels[0], labels[0])
+        np.testing.assert_allclose(loaded_scores[0], scores[0])

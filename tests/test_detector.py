@@ -361,39 +361,15 @@ class TestScoreClip:
             score_clip(ref, make_query([0.5, np.nan]),
                        TimbreVector(1.0, 0.1, 0.5, 1000.0, 0.5), k=1)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_score_clips_equals_score_clip_per_query(self, data):
-        n = data.draw(st.integers(1, 12))
-        dim = data.draw(st.integers(1, 3))
-        q = data.draw(st.integers(0, 6))
-        # Few distinct values: rows repeat, distances and timbre values tie.
-        cell = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
-        tied = st.sampled_from([0.25, 0.5, 0.75])
-
-        def matrix(rows, cols, values):
-            drawn = data.draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
-                                       min_size=rows, max_size=rows))
-            return np.array(drawn, dtype=np.float64).reshape(rows, cols)
-
-        kind = data.draw(st.sampled_from(list(DistanceKind)))
-        ref = make_ref(matrix(n, dim, cell), matrix(n, 5, tied), kind)
-        queries, values = matrix(q, dim, cell), matrix(q, 5, tied)
-        k = data.draw(st.integers(1, n))
-        t = data.draw(st.sampled_from([0.0, 0.1, 0.25]))
-        block_bytes = data.draw(st.sampled_from([8, detector._GRAM_BLOCK_BYTES]))
-        ids = [f"q{i}" for i in range(q)]
-        with mock.patch.object(detector, "_GRAM_BLOCK_BYTES", block_bytes):
-            batch = detector.score_clips(ref, ids, queries, values, k=k, t=t)
-        assert [res.clip_id for res in batch] == ids
-        for query, value, res in zip(queries, values, batch):
-            one = score_clip(ref, make_query(query, res.clip_id),
-                             TimbreVector.from_array(value), k=k, t=t)
-            assert np.float64(res.anomaly_score).tobytes() == \
-                np.float64(one.anomaly_score).tobytes()
-            assert res.attribute_scores.tobytes() == one.attribute_scores.tobytes()
-            assert res.attribute_labels.tolist() == one.attribute_labels.tolist()
-            assert res.neighbor_indices.tolist() == one.neighbor_indices.tolist()
+    @pytest.mark.parametrize("baseline", [None, "global"])
+    def test_non_finite_timbre_values_fail(self, baseline):
+        # The one count skips _u_counts' finiteness check, and a NaN compares
+        # false with every neighbour: unchecked, it would rank 0.
+        ref = make_ref([[0.0], [1.0]], [[0.5] * 5, [0.6] * 5])
+        values = np.full((2, 5), 0.55)
+        values[1, 2] = np.nan
+        with pytest.raises(ValueError, match="^need 5 finite timbre values per query$"):
+            detector.score_clips(ref, [[0.2], [0.8]], values, k=2, baseline=baseline)
 
 
 class TestMetamorphicRelations:
@@ -401,7 +377,7 @@ class TestMetamorphicRelations:
 
     @staticmethod
     def draw_case(data, kinds=tuple(DistanceKind)):
-        """(ref, ids, queries, values, k, t) over a small random reference set; timbre
+        """(ref, queries, values, k, t) over a small random reference set; timbre
         values come from a few levels, so that ranks tie."""
         n = data.draw(st.integers(1, 10))
         dim = data.draw(st.integers(1, 3))
@@ -419,7 +395,7 @@ class TestMetamorphicRelations:
         queries, values = matrix(q, dim, cell), matrix(q, 5, level)
         k = data.draw(st.integers(1, n))
         t = data.draw(st.sampled_from([0.0, 0.1, 0.25]))
-        return ref, [f"q{i}" for i in range(q)], queries, values, k, t
+        return ref, queries, values, k, t
 
     @staticmethod
     def extended(ref, rows, timbre, ids):
@@ -430,23 +406,23 @@ class TestMetamorphicRelations:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_r1_duplicated_rows_at_twice_k(self, data):
-        ref, ids, queries, values, k, t = self.draw_case(data)
+        ref, queries, values, k, t = self.draw_case(data)
         for query in queries:   # the k nearest rows are one set, not a pick among ties
             dists = np.sort(distances_to(ref.embeddings, query, ref.distance_kind))
             assume(k == ref.size or dists[k - 1] != dists[k])
         twice = self.extended(ref, ref.embeddings, ref.timbre_values, ref.clip_ids)
         baseline = data.draw(st.sampled_from([None, "global"]))
-        once = detector.score_clips(ref, ids, queries, values, k, t, baseline=baseline)
-        doubled = detector.score_clips(twice, ids, queries, values, 2 * k, t, baseline=baseline)
-        for a, b in zip(once, doubled):
-            assert b.attribute_scores.tobytes() == a.attribute_scores.tobytes()
-            assert b.attribute_labels.tolist() == a.attribute_labels.tolist()
-            assert b.anomaly_score == pytest.approx(a.anomaly_score, rel=1e-12, abs=0.0)
+        anomaly, scores, labels, _ = detector.score_clips(ref, queries, values, k, t,
+                                                          baseline=baseline)
+        doubled = detector.score_clips(twice, queries, values, 2 * k, t, baseline=baseline)
+        assert doubled[1].tobytes() == scores.tobytes()
+        assert doubled[2].tolist() == labels.tolist()
+        assert doubled[0] == pytest.approx(anomaly, rel=1e-12, abs=0.0)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_r2_permuted_rows_change_nothing_but_indices(self, data):
-        ref, ids, queries, values, k, t = self.draw_case(data)
+        ref, queries, values, k, t = self.draw_case(data)
         for query in queries:   # the k nearest rows are one set, not a pick among ties
             dists = np.sort(distances_to(ref.embeddings, query, ref.distance_kind))
             assume(k == ref.size or dists[k - 1] != dists[k])
@@ -456,31 +432,29 @@ class TestMetamorphicRelations:
                                 tuple(ref.clip_ids[i] for i in perm), ref.provider_id,
                                 ref.distance_kind, ref.normalization)
         baseline = data.draw(st.sampled_from([None, "global"]))
-        before = detector.score_clips(ref, ids, queries, values, k, t, baseline=baseline)
-        after = detector.score_clips(permuted, ids, queries, values, k, t, baseline=baseline)
-        for a, b in zip(before, after):
-            assert np.float64(b.anomaly_score).tobytes() == np.float64(a.anomaly_score).tobytes()
-            assert b.attribute_scores.tobytes() == a.attribute_scores.tobytes()
-            assert b.attribute_labels.tolist() == a.attribute_labels.tolist()
-            assert sorted(perm[b.neighbor_indices]) == sorted(a.neighbor_indices)
+        before = detector.score_clips(ref, queries, values, k, t, baseline=baseline)
+        after = detector.score_clips(permuted, queries, values, k, t, baseline=baseline)
+        assert after[0].tobytes() == before[0].tobytes()
+        assert after[1].tobytes() == before[1].tobytes()
+        assert after[2].tolist() == before[2].tolist()
+        assert np.sort(perm[after[3]], axis=1).tolist() == np.sort(before[3], axis=1).tolist()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_r3_far_rows_change_nothing(self, data):
         # Euclidean only: rows moved by 1e3 per axis may still point a query's way.
-        ref, ids, queries, values, k, t = self.draw_case(data, [DistanceKind.EUCLIDEAN])
+        ref, queries, values, k, t = self.draw_case(data, [DistanceKind.EUCLIDEAN])
         far = data.draw(st.lists(st.integers(0, ref.size - 1), min_size=1, max_size=4))
         level = st.sampled_from([0.25, 0.5, 0.75])
         timbre = [data.draw(st.lists(level, min_size=5, max_size=5)) for _ in far]
         more = self.extended(ref, ref.embeddings[far] + 1e3, timbre,
                              [f"far_{i}" for i in range(len(far))])
-        before = detector.score_clips(ref, ids, queries, values, k, t)
-        after = detector.score_clips(more, ids, queries, values, k, t)
-        for a, b in zip(before, after):
-            assert np.float64(b.anomaly_score).tobytes() == np.float64(a.anomaly_score).tobytes()
-            assert b.attribute_scores.tobytes() == a.attribute_scores.tobytes()
-            assert b.attribute_labels.tolist() == a.attribute_labels.tolist()
-            assert b.neighbor_indices.tolist() == a.neighbor_indices.tolist()
+        before = detector.score_clips(ref, queries, values, k, t)
+        after = detector.score_clips(more, queries, values, k, t)
+        assert after[0].tobytes() == before[0].tobytes()
+        assert after[1].tobytes() == before[1].tobytes()
+        assert after[2].tolist() == before[2].tolist()
+        assert after[3].tolist() == before[3].tolist()
 
 
 class TestGlobalBaseline:
@@ -518,21 +492,19 @@ class TestGlobalBaseline:
         rng = np.random.default_rng(55)
         timbre = rng.integers(1, 5, size=(20, 5)) / 4       # many ties
         ref = make_ref(rng.normal(size=(20, 3)), timbre)
-        ids = [f"q{i}" for i in range(6)]
         queries = rng.normal(size=(6, 3))
         values = rng.integers(1, 5, size=(6, 5)) / 4
-        knn_results = detector.score_clips(ref, ids, queries, values, k=4, t=0.25)
-        global_results = detector.score_clips(ref, ids, queries, values, k=4, t=0.25,
-                                              baseline="global")
-        for res_knn, res, value in zip(knn_results, global_results, values):
+        anomaly, _, _, indices = detector.score_clips(ref, queries, values, k=4, t=0.25)
+        global_anomaly, global_scores, global_labels, global_indices = detector.score_clips(
+            ref, queries, values, k=4, t=0.25, baseline="global")
+        assert global_anomaly.tolist() == anomaly.tolist()
+        assert np.array_equal(global_indices, indices)
+        for i, value in enumerate(values):
             scores, labels = global_baseline_score(ref, [value], t=0.25)
-            assert res.clip_id == res_knn.clip_id
-            assert res.anomaly_score == res_knn.anomaly_score
-            assert np.array_equal(res.neighbor_indices, res_knn.neighbor_indices)
-            assert res.attribute_scores.tolist() == scores[0].tolist()
-            assert res.attribute_labels.tolist() == labels[0].tolist()
+            assert global_scores[i].tolist() == scores[0].tolist()
+            assert global_labels[i].tolist() == labels[0].tolist()
         with pytest.raises(ValueError, match="unknown baseline"):
-            detector.score_clips(ref, ids, queries, values, k=4, baseline="knn")
+            detector.score_clips(ref, queries, values, k=4, baseline="knn")
 
 
 def _reference_rank_score(test_value: float, neighbor_values) -> float:
@@ -612,6 +584,38 @@ class TestOneCountMatchesReference:
             assert scores[i].tolist() == expected
             assert labels[i].tolist() == [_reference_label(s, t) for s in expected]
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), kind=st.sampled_from(list(DistanceKind)))
+    def test_score_clips_ranks_each_query_against_its_neighbours(self, data, kind):
+        n = data.draw(st.integers(1, 12))
+        dim = data.draw(st.integers(1, 3))
+        q = data.draw(st.integers(0, 6))
+        # Few distinct values: rows repeat, distances and timbre values tie.
+        cell = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+        tied = st.sampled_from([0.25, 0.5, 0.75])
+
+        def matrix(rows, cols, values):
+            drawn = data.draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows))
+            return np.array(drawn, dtype=np.float64).reshape(rows, cols)
+
+        ref = make_ref(matrix(n, dim, cell), matrix(n, 5, tied), kind)
+        queries, values = matrix(q, dim, cell), matrix(q, 5, tied)
+        k = data.draw(st.integers(1, n))
+        t = data.draw(st.sampled_from([0.0, 0.1, 0.25]))
+        block_bytes = data.draw(st.sampled_from([8, detector._GRAM_BLOCK_BYTES]))
+        with mock.patch.object(detector, "_GRAM_BLOCK_BYTES", block_bytes):
+            anomaly, scores, labels, indices = detector.score_clips(ref, queries, values, k, t)
+        assert anomaly.shape == (q,) and scores.shape == labels.shape == (q, 5)
+        assert indices.shape == (q, k)
+        for i, value in enumerate(values):
+            expected = np.array([timbre_rank_score(value[col],
+                                                   ref.timbre_values[indices[i], col])
+                                 for col in range(5)])
+            assert scores[i].tobytes() == expected.tobytes()
+            assert labels[i].tolist() == threshold_label(expected, t).tolist()
+            assert anomaly[i] == anomaly_score(knn_one(ref, queries[i], k)[1])
+
     def test_threshold_label_array_matches_scalar(self):
         scores = np.linspace(0.0, 1.0, 41)
         for t in (0.0, 0.05, 0.1, 0.3):
@@ -621,20 +625,17 @@ class TestOneCountMatchesReference:
 
 class TestResultsCsv:
     def test_roundtrip(self, tmp_path):
-        results = [
-            score_clip(make_ref([[0.0], [1.0]]), make_query([0.25], "c1"),
-                       TimbreVector(2.0, 0.1, 0.3, 700.0, 0.4), k=2, t=0.1),
-        ]
+        result = score_clip(make_ref([[0.0], [1.0]]), make_query([0.25], "c1"),
+                            TimbreVector(2.0, 0.1, 0.3, 700.0, 0.4), k=2, t=0.1)
         path = tmp_path / "results.csv"
-        write_results_csv(path, results)
+        write_results_csv(path, ["c1"], [result.anomaly_score], [result.attribute_scores],
+                          [result.attribute_labels])
         header = path.read_text().splitlines()[0]
         assert header == ("clip_id,anomaly_score,sharpness_score,roughness_score,"
                           "boominess_score,brightness_score,depth_score,"
                           "sharpness_label,roughness_label,boominess_label,"
                           "brightness_label,depth_label")
-        loaded = read_results_csv(path)
-        assert loaded[0].clip_id == "c1"
-        assert loaded[0].anomaly_score == pytest.approx(
-            results[0].anomaly_score, rel=1e-8)
-        assert np.array_equal(loaded[0].attribute_labels,
-                              results[0].attribute_labels)
+        ids, anomaly, _, labels = read_results_csv(path)
+        assert ids == ["c1"]
+        assert anomaly[0] == pytest.approx(result.anomaly_score, rel=1e-8)
+        assert np.array_equal(labels[0], result.attribute_labels)

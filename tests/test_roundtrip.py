@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from timbrediff.dataset import (
     DOMAINS,
-    GroundTruthRecord,
     ManifestEntry,
     load_manifest,
     read_ground_truth_csv,
@@ -15,7 +14,7 @@ from timbrediff.dataset import (
     write_manifest_csv,
 )
 from timbrediff.csvrows import write_rows
-from timbrediff.detector import TimbreDiffResult, read_results_csv, write_results_csv
+from timbrediff.detector import read_results_csv, write_results_csv
 from timbrediff.embeddings import read_tdce, write_embeddings
 from timbrediff.frontend import AudioClip, load_wav, save_wav
 from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, read_timbre_csv, timbre_csv_rows
@@ -78,13 +77,12 @@ results = st.tuples(nine_digits(0.0, 1e6), st.lists(unit, min_size=5, max_size=5
 @ROUNDTRIP
 @given(rows=unique_ids(results))
 def test_results_csv(tmp_path_factory, rows):
-    written = [TimbreDiffResult(cid, score, scores, marks)
-               for cid, (score, scores, marks) in rows]
     path = tmp_path_factory.mktemp("results") / "results.csv"
-    write_results_csv(path, written)
-    loaded = read_results_csv(path)
-    assert [(r.clip_id, r.anomaly_score, r.attribute_scores.tolist(),
-             r.attribute_labels.tolist()) for r in loaded] == \
+    write_results_csv(path, [cid for cid, _ in rows], *(
+        [row[col] for _, row in rows] for col in range(3)))
+    ids, anomaly, scores, labels = read_results_csv(path)
+    assert anomaly.shape == (len(rows),) and scores.shape == labels.shape == (len(rows), 5)
+    assert list(zip(ids, anomaly.tolist(), scores.tolist(), labels.tolist())) == \
         [(cid, score, scores, marks) for cid, (score, scores, marks) in rows]
 
 
@@ -94,10 +92,12 @@ def test_results_csv(tmp_path_factory, rows):
                        max_size=5, unique_by=lambda g: g[:2]))
 def test_ground_truth_csv(tmp_path_factory, groups):
     path = tmp_path_factory.mktemp("gt") / "gt.csv"
-    write_ground_truth_csv(path, [GroundTruthRecord(*g) for g in groups])
-    loaded = read_ground_truth_csv(path)
-    assert [(r.condition_id, r.cause_id, r.scores.tolist(), r.labels.tolist())
-            for r in loaded] == groups
+    write_ground_truth_csv(path, [g[:2] for g in groups], [g[2] for g in groups],
+                           [g[3] for g in groups])
+    keys, scores, labels = read_ground_truth_csv(path)
+    assert scores.shape == labels.shape == (len(groups), 5)
+    assert [(*key, row, marks) for key, row, marks
+            in zip(keys, scores.tolist(), labels.tolist())] == groups
 
 
 float32s = st.floats(width=32, allow_nan=False, allow_infinity=False)

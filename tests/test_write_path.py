@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from timbrediff.cli import main
-from timbrediff.csvrows import write_rows
+from timbrediff.csvrows import write_json, write_rows
 from timbrediff.dataset import (
-    GroundTruthRecord,
     ManifestEntry,
     write_ground_truth_csv,
     write_manifest_csv,
 )
-from timbrediff.detector import TimbreDiffResult, write_results_csv
+from timbrediff.detector import write_results_csv
 from timbrediff.embeddings import (
     _WRITE_BLOCK_ROWS,
     DistanceKind,
@@ -29,7 +28,6 @@ from timbrediff.embeddings import (
     NormalizationStats,
     write_embeddings,
 )
-from timbrediff.evaluation import EvalReport, write_report_json
 from timbrediff.frontend import AudioClip, save_wav
 from timbrediff.store import load_model, save_model
 from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, timbre_csv_rows
@@ -60,18 +58,20 @@ def embeddings(good):
 
 
 WRITERS = {
-    "results": lambda path, good: write_results_csv(path, [
-        TimbreDiffResult(cid, 0.5, [0.5] * 5, [0] * 5) for cid in clip_ids(good)]),
-    "ground_truth": lambda path, good: write_ground_truth_csv(path, [
-        GroundTruthRecord(cid, "hiss", [0.5] * 5, [0] * 5) for cid in clip_ids(good)]),
+    "results": lambda path, good: write_results_csv(
+        path, clip_ids(good), np.full(3, 0.5), np.full((3, 5), 0.5), np.zeros((3, 5), int)),
+    "ground_truth": lambda path, good: write_ground_truth_csv(
+        path, [(cid, "hiss") for cid in clip_ids(good)], np.full((3, 5), 0.5),
+        np.zeros((3, 5), int)),
     "manifest": lambda path, good: write_manifest_csv(path, [
         ManifestEntry(cid, "a.wav", "train", "normal", "slow") for cid in clip_ids(good)]),
     "timbre": lambda path, good: write_rows(path, TIMBRE_CSV_HEADER, timbre_csv_rows(
         clip_ids(good), np.tile(VECTOR.as_array(), (3, 1)))),
     "tdce": lambda path, good: write_embeddings(path, clip_ids(good),
                                                 np.full((3, 2), 1.0 if good else 2.0)),
-    "report": lambda path, good: write_report_json(path, EvalReport(
-        1.0, dict(zip("xyz", clip_ids(good))), 0.5, {"x": {"0": 3}}, 3)),
+    "report": lambda path, good: write_json(path, {
+        "detection_auc": 1.0, "mae": dict(zip("xyz", clip_ids(good))), "mean_mae": 0.5,
+        "counts": {"x": {"0": 3}}, "n_clips": 3}),
     "model": lambda path, good: save_model(
         path, embeddings(good), [(cid, VECTOR) for cid in clip_ids(good)],
         NormalizationStats(np.zeros(2), np.ones(2)), DistanceKind.EUCLIDEAN, k=1, t=0.1),
@@ -210,3 +210,13 @@ def test_save_model_rejects_ragged_embeddings_before_the_write(tmp_path):
     with pytest.raises(ValueError, match="^embeddings must all share one dimension$"):
         save_vectors(tmp_path, ["a", "b"], [np.ones(2), np.ones(3)])
     assert snapshot(tmp_path) == before
+
+
+def test_save_model_refuses_zero_rows_before_the_write(tmp_path):
+    # A model of no rows would carry provider "" and count 0, which load_model refuses.
+    save_vectors(tmp_path, ["a", "b"], np.ones((2, 2)))
+    before = snapshot(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}: "):
+        save_vectors(tmp_path, [], np.ones((0, 2)))
+    assert snapshot(tmp_path) == before
+    assert load_model(tmp_path)[0].clip_ids == ("a", "b")
