@@ -19,7 +19,7 @@ from . import __version__
 from .csvrows import write_json
 from .dataset import (
     DEFAULT_T_PRIME,
-    ManifestError,
+    check_conditions_trained,
     generate_ground_truth,
     ground_truth_statistics,
     load_manifest,
@@ -37,6 +37,7 @@ from .detector import (
 )
 from .embeddings import (
     EXTERNAL_PROVIDER,
+    MIN_FIT_ROWS,
     SPECTRAL_DIM,
     SPECTRAL_PROVIDER,
     TIMBRE_PROVIDER,
@@ -47,7 +48,7 @@ from .embeddings import (
     spectral_features,
 )
 from .evaluation import build_report
-from .frontend import CANONICAL_RATE, WavError, load_wav, resample, stft_power
+from .frontend import CANONICAL_RATE, load_wav, resample, stft_power
 from .store import CONFIG_NAME, load_model, read_config, save_model
 from .synth import default_benchmark_specs, generate_dataset
 from .timbre import MIN_ROUGHNESS_DURATION, N_ATTRIBUTES, TimbreVector, compute_timbre_vector
@@ -61,7 +62,7 @@ DEFAULT_DISTANCE = {
     EXTERNAL_PROVIDER: DistanceKind.COSINE,
 }
 
-_CLI_ERRORS = (WavError, ValueError, OSError)   # the package's other input errors are ValueErrors
+_CLI_ERRORS = (ValueError, OSError)     # a malformed input, an unreadable file
 
 
 # _analyse gives each worker process at least this many clips.  On a 2-core
@@ -203,28 +204,12 @@ def _analyse(args, entries, provider=None, meanwhile=lambda: None):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    # Every count and cause is checked before the first file is written.
-    conditions, causes = default_benchmark_specs()
-    if not 1 <= args.conditions <= len(conditions):
-        raise ValueError(f"--conditions must lie in 1..{len(conditions)} (the default specs), "
-                         f"got {args.conditions}")
-    conditions = conditions[: args.conditions]
+    # Every count is checked before the first file is written.
     for option, count in (("--train-per-cond", args.train_per_cond),
                           ("--test-per-cond", args.test_per_cond)):
         if count < 0:
             raise ValueError(f"{option} must be >= 0, got {count}")
-    if args.causes != "default":
-        wanted = args.causes.split(",")
-        by_id = {c.cause_id: c for c in causes}
-        unknown = [w for w in wanted if w not in by_id]
-        if unknown:
-            raise ValueError(f"--causes: unknown cause ids: {unknown}; "
-                             f"available: {sorted(by_id)}")
-        repeated = sorted({w for w in wanted if wanted.count(w) > 1})
-        if repeated:
-            raise ValueError(f"--causes: repeated cause ids: {repeated}")
-        causes = tuple(by_id[w] for w in wanted)
-    dataset = generate_dataset(conditions, causes, args.train_per_cond,
+    dataset = generate_dataset(*default_benchmark_specs(), args.train_per_cond,
                                args.test_per_cond, args.seed, args.out)
     _log(f"synth: wrote {len(dataset.manifest)} clips to {args.out} "
          f"(seed {args.seed})")
@@ -240,7 +225,10 @@ def cmd_fit(args) -> int:
     _check_option("--t", check_t, args.t)
     train = [e for e in load_manifest(args.manifest) if e.split == "train"]
     if not train:
-        raise ManifestError(f"{args.manifest}: no training rows")
+        raise ValueError(f"{args.manifest}: no training rows")
+    if len(train) < MIN_FIT_ROWS:
+        raise ValueError(f"{args.manifest}: fit needs at least {MIN_FIT_ROWS} training rows, "
+                         f"got {len(train)}")
     _check_option("--k", check_k, args.k, len(train))
     clip_ids, timbre, raw, _ = _analyse(args, train, args.provider)
     stats = fit_normalization(raw)
@@ -271,7 +259,7 @@ def cmd_score(args) -> int:
 
     tests = [e for e in load_manifest(args.manifest) if e.split == "test"]
     if not tests:
-        raise ManifestError(f"{args.manifest}: no test rows")
+        raise ValueError(f"{args.manifest}: no test rows")
     clip_ids, timbre, raw, (ref, _) = _analyse(args, tests, config["provider"],
                                                lambda: load_model(args.model, config))
     queries = ref.normalization.zscore(raw)
@@ -293,7 +281,8 @@ def cmd_gen_gt(args) -> int:
     _check_option("--t-prime", check_t, args.t_prime)     # before any clip is decoded
     entries = load_manifest(args.manifest)
     if not any(e.state == "anomalous" for e in entries):
-        raise ManifestError(f"{args.manifest}: no anomalous rows")
+        raise ValueError(f"{args.manifest}: no anomalous rows")
+    _check_option(args.manifest, check_conditions_trained, entries)
     needed = [e for e in entries if e.split == "train" or e.state == "anomalous"]
     clip_ids, timbre, _, _ = _analyse(args, needed)
     groups, scores, labels = generate_ground_truth(entries, clip_ids, timbre, args.t_prime)
@@ -331,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the synthetic benchmark")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--conditions", type=int, default=3)
-    p.add_argument("--causes", default="default",
-                   help="comma-separated cause ids, or 'default'")
     p.add_argument("--train-per-cond", type=int, default=50)
     p.add_argument("--test-per-cond", type=int, default=10)
     p.set_defaults(func=cmd_synth)

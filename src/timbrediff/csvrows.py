@@ -40,14 +40,14 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def read_rows(path, header, parse, error=ValueError, unique=None) -> list:
+def read_rows(path, header, parse, unique=None) -> list:
     """[parse(row number, fields) for each row after the header], in order.
 
     Rows are numbered from the header, row 1, which must equal `header`.
     Every row needs one field per header column and, with `unique` (a
     column name), a value in that column no earlier row has.  Bytes that
     are not UTF-8, csv format errors and a ValueError from `parse` raise
-    `error` naming the file and the row.
+    ValueError naming the file and the row.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -56,7 +56,7 @@ def read_rows(path, header, parse, error=ValueError, unique=None) -> list:
     except UnicodeDecodeError as exc:
         # csv.reader ends a line at \r\n, \n or a lone \r.
         row = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
-        raise error(f"{path}: row {row}: {exc}") from None
+        raise ValueError(f"{path}: row {row}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     key = header.index(unique) if unique else None
     first_row = {}
@@ -74,5 +74,5 @@ def read_rows(path, header, parse, error=ValueError, unique=None) -> list:
                                  f"(first at row {first_row[fields[key]]})")
             out.append(parse(row, fields))
     except (csv.Error, ValueError) as exc:
-        raise error(f"{path}: row {max(reader.line_num, 1)}: {exc}") from None
+        raise ValueError(f"{path}: row {max(reader.line_num, 1)}: {exc}") from None
     return out

@@ -25,14 +25,6 @@ STATES = ("normal", "anomalous")
 DOMAINS = ("source", "target")
 
 
-class ManifestError(ValueError):
-    """Manifest rows violating the format or the training-data constraints."""
-
-
-class GroundTruthError(ValueError):
-    """Ground truth cannot be derived for the given entries."""
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     clip_id: str
@@ -45,17 +37,17 @@ class ManifestEntry:
 
     def __post_init__(self):
         if self.split not in SPLITS:
-            raise ManifestError(f"split must be one of {SPLITS}, got {self.split!r}")
+            raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
         if self.state not in STATES:
-            raise ManifestError(f"state must be one of {STATES}, got {self.state!r}")
+            raise ValueError(f"state must be one of {STATES}, got {self.state!r}")
         if self.domain not in DOMAINS:
-            raise ManifestError(f"domain must be one of {DOMAINS}, got {self.domain!r}")
+            raise ValueError(f"domain must be one of {DOMAINS}, got {self.domain!r}")
         if not self.clip_id or not self.condition_id:
-            raise ManifestError("clip_id and condition must be non-empty")
+            raise ValueError("clip_id and condition must be non-empty")
         if self.split == "train" and self.state == "anomalous":
-            raise ManifestError("training data must be normal only")
+            raise ValueError("training data must be normal only")
         if self.state == "anomalous" and not self.cause_id:
-            raise ManifestError("anomalous entries must carry a cause")
+            raise ValueError("anomalous entries must carry a cause")
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +57,7 @@ class ManifestEntry:
 def load_manifest(path) -> list:
     """Read and validate a manifest CSV; errors name the file and row."""
     return read_rows(path, MANIFEST_CSV_HEADER, lambda _, row: ManifestEntry(*row),
-                     ManifestError, unique="clip_id")
+                     unique="clip_id")
 
 
 def write_manifest_csv(path, entries) -> None:
@@ -77,6 +69,16 @@ def write_manifest_csv(path, entries) -> None:
 # ---------------------------------------------------------------------------
 # Ground truth generation
 # ---------------------------------------------------------------------------
+
+def check_conditions_trained(entries) -> None:
+    """Raise ValueError naming the first condition, in sorted order, that has
+    anomalous entries but no training entries: ground truth needs both."""
+    trained = {e.condition_id for e in entries if e.split == "train"}
+    untrained = sorted({e.condition_id for e in entries if e.state == "anomalous"} - trained)
+    if untrained:
+        raise ValueError(f"condition {untrained[0]!r} has anomalous clips but no normal "
+                         "training clips")
+
 
 def generate_ground_truth(entries, clip_ids, timbre, t_prime: float = DEFAULT_T_PRIME):
     """The sorted (condition, cause) groups of anomalous clips, with their
@@ -90,6 +92,7 @@ def generate_ground_truth(entries, clip_ids, timbre, t_prime: float = DEFAULT_T_
     timbre = np.asarray(timbre, dtype=np.float64)
     row_of = {clip_id: row for row, clip_id in enumerate(clip_ids)}
 
+    check_conditions_trained(entries)
     train_by_condition, groups = {}, {}
     for entry in entries:
         if entry.split == "train":
@@ -99,16 +102,11 @@ def generate_ground_truth(entries, clip_ids, timbre, t_prime: float = DEFAULT_T_
 
     keys, scores = sorted(groups), []
     for (condition_id, cause_id) in keys:
-        if condition_id not in train_by_condition:
-            raise GroundTruthError(
-                f"condition {condition_id!r} has anomalous clips but no normal "
-                "training clips"
-            )
         normal = train_by_condition[condition_id]
         members = normal + groups[(condition_id, cause_id)]
         missing = [e.clip_id for e in members if e.clip_id not in row_of]
         if missing:
-            raise GroundTruthError(f"missing timbre vector for clip {missing[0]!r}")
+            raise ValueError(f"missing timbre vector for clip {missing[0]!r}")
         values = timbre[[row_of[e.clip_id] for e in members]]
         scores.append([auc(values[:len(normal), col], values[len(normal):, col])
                        for col in range(N_ATTRIBUTES)])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .csvrows import read_rows, replacing, write_rows
 from .frontend import AudioClip, Spectrogram, stft_bin_freqs, stft_power
-from .timbre import SILENCE_POWER_FLOOR, SilentClipError
+from .timbre import SILENCE_POWER_FLOOR
 
 TIMBRE_PROVIDER = "timbre"
 SPECTRAL_PROVIDER = "spectral"
@@ -26,6 +26,7 @@ SPECTRAL_DIM = 2 * MEL_BANDS
 MEL_FMAX_HZ = 8000.0
 LOG_FLOOR = 1e-10
 STD_FLOOR = 1e-9
+MIN_FIT_ROWS = 2                # fit_normalization's minimum: one row has no spread
 
 TDCE_MAGIC = b"TDCE"
 TDCE_VERSION = 1
@@ -33,10 +34,6 @@ TDCE_DTYPE = np.dtype("<f4")    # a stored row's precision: little-endian float3
 _TDCE_HEADER = struct.Struct("<4sIII")  # magic, version, dim, count
 _IDS_HEADER = ["row", "clip_id"]
 _WRITE_BLOCK_ROWS = 4096        # about 1.3 MB of float32 at 80 dims
-
-
-class TdceError(ValueError):
-    """Malformed TDCE embedding file or id sidecar."""
 
 
 class DistanceKind(Enum):
@@ -95,8 +92,9 @@ class NormalizationStats:
 def fit_normalization(data) -> NormalizationStats:
     """Per-column mean and population std of [N x D] data, std clamped below at 1e-9."""
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise ValueError("need an [N x D] array of at least 2 rows to fit normalization")
+    if data.ndim != 2 or data.shape[0] < MIN_FIT_ROWS:
+        raise ValueError(f"need an [N x D] array of at least {MIN_FIT_ROWS} rows "
+                         "to fit normalization")
     return NormalizationStats(data.mean(axis=0),
                               np.maximum(data.std(axis=0), STD_FLOOR))
 
@@ -126,7 +124,7 @@ def spectral_features(clip: AudioClip, spec: Spectrogram = None) -> np.ndarray:
     """Raw 80-dim log-mel statistics, 40 band means then 40 stds; spec is stft_power(clip)."""
     spec = stft_power(clip) if spec is None else spec
     if spec.power.sum() <= SILENCE_POWER_FLOOR:
-        raise SilentClipError("silent input: total framed power below threshold")
+        raise ValueError("silent input: total framed power below threshold")
     bank = mel_filterbank(spec.sample_rate)
     log_mel = np.log(np.maximum(spec.power @ bank.T, LOG_FLOOR))
     return np.concatenate([log_mel.mean(axis=0), log_mel.std(axis=0)])
@@ -197,12 +195,12 @@ def write_embeddings(path, clip_ids, vectors) -> None:
 
 
 def check_finite_rows(path, clip_ids, rows, start=0) -> None:
-    """Raise TdceError naming the first non-finite row of `rows`, row `start` of `path`.
+    """Raise ValueError naming the first non-finite row of `rows`, row `start` of `path`.
     A float32-range row's float64 sum is finite exactly when each value is: no mask."""
     bad = np.flatnonzero(~np.isfinite(rows.sum(axis=1, dtype=np.float64)))
     if bad.size:
         row = start + bad[0]
-        raise TdceError(f"{path}: embedding row {row} (clip {clip_ids[row]!r}) is not finite")
+        raise ValueError(f"{path}: embedding row {row} (clip {clip_ids[row]!r}) is not finite")
 
 
 def read_tdce_rows(path) -> np.ndarray:
@@ -211,17 +209,17 @@ def read_tdce_rows(path) -> np.ndarray:
         head = fh.read(_TDCE_HEADER.size)
         payload = os.fstat(fh.fileno()).st_size - len(head)
     if len(head) < _TDCE_HEADER.size:
-        raise TdceError(f"{path}: truncated header")
+        raise ValueError(f"{path}: truncated header")
     magic, version, dim, count = _TDCE_HEADER.unpack(head)
     if magic != TDCE_MAGIC:
-        raise TdceError(f"{path}: bad magic {magic!r}")
+        raise ValueError(f"{path}: bad magic {magic!r}")
     if version != TDCE_VERSION:
-        raise TdceError(f"{path}: unsupported version {version}")
+        raise ValueError(f"{path}: unsupported version {version}")
     expected = count * dim * 4
     if payload < expected:
-        raise TdceError(f"{path}: truncated payload ({payload} bytes, expected {expected})")
+        raise ValueError(f"{path}: truncated payload ({payload} bytes, expected {expected})")
     if payload > expected:
-        raise TdceError(f"{path}: {payload - expected} trailing bytes")
+        raise ValueError(f"{path}: {payload - expected} trailing bytes")
     return np.fromfile(path, TDCE_DTYPE, count * dim, offset=_TDCE_HEADER.size).reshape(count, dim)
 
 
@@ -235,10 +233,10 @@ def read_tdce(path):
             raise ValueError(f"malformed row {row}")
         ids.append(row[1])
 
-    read_rows(_ids_path(path), _IDS_HEADER, add_id, TdceError, unique="clip_id")
+    read_rows(_ids_path(path), _IDS_HEADER, add_id, unique="clip_id")
     if len(ids) != len(vectors):
-        raise TdceError(f"{path}: id count mismatch "
-                        f"({len(ids)} ids for {len(vectors)} embeddings)")
+        raise ValueError(f"{path}: id count mismatch "
+                         f"({len(ids)} ids for {len(vectors)} embeddings)")
     vectors = vectors.astype(np.float64)
     check_finite_rows(path, ids, vectors)
     return ids, vectors

@@ -8,14 +8,10 @@ rare label values from being drowned out by frequent ones.
 
 import numpy as np
 
-from .dataset import GroundTruthError, auc
+from .dataset import auc
 from .timbre import ATTRIBUTE_NAMES, N_ATTRIBUTES
 
 LABEL_VALUES = (-1, 0, 1)
-
-
-class CoverageError(ValueError):
-    """Results do not cover every clip the evaluation needs."""
 
 
 def truth_label_counts(labels) -> np.ndarray:
@@ -58,24 +54,22 @@ def build_report(clip_ids, anomaly, labels, entries, groups, truth) -> dict:
     test_entries = [e for e in entries if e.split == "test"]
     missing = [e.clip_id for e in test_entries if e.clip_id not in row_of]
     if missing:
-        raise CoverageError(f"missing result for clip {missing[0]!r} "
-                            f"({len(missing)} test clips uncovered)")
+        raise ValueError(f"missing result for clip {missing[0]!r} "
+                         f"({len(missing)} test clips uncovered)")
     anomaly = np.asarray(anomaly, dtype=np.float64)
     normal_scores, anomalous_scores = (
         anomaly[[row_of[e.clip_id] for e in test_entries if e.state == state]]
         for state in ("normal", "anomalous"))
     if not normal_scores.size or not anomalous_scores.size:
-        raise CoverageError("evaluation needs both normal and anomalous test clips")
+        raise ValueError("evaluation needs both normal and anomalous test clips")
 
     # Each anomalous clip, all of them test clips, takes its group's truth labels.
     group_of = {group: row for row, group in enumerate(groups)}
     anomalous = [e for e in entries if e.state == "anomalous"]
     for e in anomalous:
         if (e.condition_id, e.cause_id) not in group_of:
-            raise GroundTruthError(
-                f"clip {e.clip_id!r}: no ground truth record for condition "
-                f"{e.condition_id!r}, cause {e.cause_id!r}"
-            )
+            raise ValueError(f"clip {e.clip_id!r}: no ground truth record for condition "
+                             f"{e.condition_id!r}, cause {e.cause_id!r}")
     truths = np.asarray(truth, dtype=int)[
         [group_of[(e.condition_id, e.cause_id)] for e in anomalous]]
     mae_values = normalized_mae(

@@ -43,22 +43,6 @@ _RESAMPLE_KAISER_BETA = 8.0
 _RESAMPLE_BLOCK = 1024
 
 
-class WavError(Exception):
-    """Base class for WAV file problems."""
-
-
-class WavHeaderError(WavError):
-    """File is not a parseable RIFF/WAVE container."""
-
-
-class UnsupportedWavError(WavError):
-    """Valid WAV, but a codec/bit depth this reader does not handle."""
-
-
-class EmptyBandError(ValueError):
-    """A requested frequency band contains no spectral bins."""
-
-
 @dataclass(frozen=True)
 class AudioClip:
     """Mono sample buffer plus its sample rate.
@@ -118,12 +102,13 @@ def load_wav(path) -> AudioClip:
     """Read a PCM16 or IEEE float32 WAV file as a mono clip.
 
     Multichannel input is averaged to mono.  PCM16 value v maps to
-    v / 32768, so samples land in [-1, 1).
+    v / 32768, so samples land in [-1, 1).  A malformed file raises
+    ValueError naming `path`.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise WavHeaderError(f"{path}: not a RIFF/WAVE file")
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -134,19 +119,19 @@ def load_wav(path) -> AudioClip:
         body = raw[offset + 8:offset + 8 + size]
         if chunk_id == b"fmt ":
             if size < 16 or len(body) < 16:
-                raise WavHeaderError(f"{path}: truncated fmt chunk")
+                raise ValueError(f"{path}: truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             if len(body) < size:
-                raise WavHeaderError(f"{path}: data chunk shorter than declared")
+                raise ValueError(f"{path}: data chunk shorter than declared")
             data = body
         offset += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None or data is None:
-        raise WavHeaderError(f"{path}: missing fmt or data chunk")
+        raise ValueError(f"{path}: missing fmt or data chunk")
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
     if channels < 1 or rate <= 0:
-        raise WavHeaderError(f"{path}: invalid channel count or sample rate")
+        raise ValueError(f"{path}: invalid channel count or sample rate")
 
     if audio_format == 1 and bits == 16:
         values = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2")
@@ -155,7 +140,7 @@ def load_wav(path) -> AudioClip:
         values = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4")
         samples = values.astype(np.float64)
     else:
-        raise UnsupportedWavError(
+        raise ValueError(
             f"{path}: unsupported codec (format tag {audio_format}, {bits}-bit); "
             "only PCM16 and IEEE float32 are readable"
         )
@@ -163,9 +148,9 @@ def load_wav(path) -> AudioClip:
     usable = samples.size - samples.size % channels
     samples = samples[:usable].reshape(-1, channels).mean(axis=1)
     if samples.size == 0:
-        raise WavHeaderError(f"{path}: no audio frames")
+        raise ValueError(f"{path}: no audio frames")
     if not np.all(np.isfinite(samples)):
-        raise WavError(f"{path}: samples must be finite")
+        raise ValueError(f"{path}: samples must be finite")
     return AudioClip(samples, rate)
 
 
@@ -361,7 +346,7 @@ def _envelope_layout(sample_rate: int, n: int, band_edges: tuple) -> tuple:
     for lo, hi in band_edges:
         first, stop = _band_bins(freqs, lo, hi, nyquist)
         if stop <= first:
-            raise EmptyBandError(f"band {lo}-{hi} Hz contains no spectral bins")
+            raise ValueError(f"band {lo}-{hi} Hz contains no spectral bins")
         m = 1 << int(max(8 * (stop - first), 2 * (k_hi + 1), 512) - 1).bit_length()
         bands.append((first, stop, min(m, n)))
     groups = []

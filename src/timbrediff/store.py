@@ -47,10 +47,6 @@ MODEL_FORMAT = "timbrediff-model"
 MODEL_FORMAT_VERSION = 2
 
 
-class ModelDirectoryError(ValueError):
-    """Model directory is missing files or internally inconsistent."""
-
-
 def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
                k: int, t: float) -> None:
     """Persist a fitted model; timbre_rows is an ordered (clip_id, vector) list.
@@ -67,7 +63,7 @@ def save_model(model_dir, embeddings, timbre_rows, normalization, distance_kind,
     model_dir.mkdir(parents=True, exist_ok=True)
     clip_ids = [e.clip_id for e in embeddings]
     if clip_ids != [cid for cid, _ in timbre_rows]:
-        raise ModelDirectoryError("embedding and timbre clip ids must align")
+        raise ValueError("embedding and timbre clip ids must align")
     dims = {e.vector.size for e in embeddings}
     if len(dims) > 1:
         raise ValueError("embeddings must all share one dimension")
@@ -114,14 +110,17 @@ def read_config(model_dir) -> dict:
     model_dir = Path(model_dir)
     config_path = model_dir / CONFIG_NAME
     if not config_path.exists():
-        raise ModelDirectoryError(f"{model_dir}: missing {CONFIG_NAME}")
+        raise ValueError(f"{model_dir}: missing {CONFIG_NAME}")
     try:                        # any fault in the file's values names the file
         with open(config_path) as fh:
             config = json.load(fh)
         if not isinstance(config, dict) or config.get("format") != MODEL_FORMAT:
             raise ValueError("not a model directory")
-        if (version := config.get("format_version", 1)) != MODEL_FORMAT_VERSION:
-            raise ModelDirectoryError(f"{model_dir}: model format {version}; re-run fit")
+    except ValueError as exc:   # json.load's errors are ValueErrors
+        raise ValueError(f"{config_path}: {exc}") from None
+    if (version := config.get("format_version", 1)) != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{model_dir}: model format {version}; re-run fit")
+    try:
         missing = [key for key in ("provider", "distance", "k", "t", "count", "dim")
                    if key not in config]
         if missing:
@@ -139,10 +138,8 @@ def read_config(model_dir) -> dict:
             raise ValueError(f"k must be at least 1, got {config['k']}")
         check_t(config["t"])
         DistanceKind.parse(config["distance"])
-    except ModelDirectoryError:
-        raise
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelDirectoryError(f"{config_path}: {exc}") from None
+        raise ValueError(f"{config_path}: {exc}") from None
     return config
 
 
@@ -157,8 +154,8 @@ def load_model(model_dir, config=None):
     count, dim = vectors.shape
     for key, value in (("count", count), ("dim", dim)):
         if config[key] != value:
-            raise ModelDirectoryError(f"{model_dir / CONFIG_NAME}: config {key} {config[key]} "
-                                      f"does not match embedding {key} {value}")
+            raise ValueError(f"{model_dir / CONFIG_NAME}: config {key} {config[key]} "
+                             f"does not match embedding {key} {value}")
     try:
         with open(ids_path, encoding="utf-8") as fh:
             ids = json.load(fh)
@@ -172,13 +169,13 @@ def load_model(model_dir, config=None):
             raise ValueError(f"row {row}: duplicate clip id {ids[row]!r} "
                              f"(first at row {first[ids[row]]})")
     except ValueError as exc:
-        raise ModelDirectoryError(f"{ids_path}: {exc}") from None
+        raise ValueError(f"{ids_path}: {exc}") from None
     try:    # mapped, not read, so a header claiming too many rows allocates nothing
         timbre = np.lib.format.open_memmap(timbre_path, mode="r")
         if timbre.dtype != np.float64:
             raise ValueError(f"expected float64 timbre values, got {timbre.dtype}")
     except ValueError as exc:
-        raise ModelDirectoryError(f"{timbre_path}: {exc}") from None
+        raise ValueError(f"{timbre_path}: {exc}") from None
     timbre = check_timbre_table(timbre_path, ids, np.array(timbre, order="C"))
     try:
         with open(norm_path) as fh:
@@ -190,10 +187,10 @@ def load_model(model_dir, config=None):
                 raise ValueError(f"{key} must be a list of numbers")
         normalization = NormalizationStats(norm_data["mean"], norm_data["std"])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelDirectoryError(f"{norm_path}: {exc}") from None
+        raise ValueError(f"{norm_path}: {exc}") from None
     if normalization.dim != dim:
-        raise ModelDirectoryError(f"{model_dir}: {NORMALIZATION_NAME} dim {normalization.dim}"
-                                  f" does not match embedding dim {dim}")
+        raise ValueError(f"{model_dir}: {NORMALIZATION_NAME} dim {normalization.dim}"
+                         f" does not match embedding dim {dim}")
     vectors = vectors.astype(np.float64)
     check_finite_rows(tdce_path, ids, vectors)
     return ReferenceSet(vectors, timbre, tuple(ids), config["provider"],

@@ -32,14 +32,6 @@ ROUGHNESS_MOD_BAND_HZ = (30.0, ENVELOPE_MOD_HZ)
 MIN_ROUGHNESS_DURATION = 0.25   # seconds
 
 
-class SilentClipError(ValueError):
-    """Clip carries no measurable spectral energy."""
-
-
-class ClipTooShortError(ValueError):
-    """Clip is too short for the requested analysis."""
-
-
 @dataclass(frozen=True)
 class TimbreVector:
     """One metric value per attribute, in the fixed attribute order."""
@@ -154,15 +146,13 @@ def _roughness(clip: AudioClip, loudness: np.ndarray) -> float:
 def compute_timbre_vector(clip: AudioClip, spec: Spectrogram = None) -> TimbreVector:
     """All five metrics from one pass over the clip; spec is stft_power(clip)."""
     if clip.duration < MIN_ROUGHNESS_DURATION:
-        raise ClipTooShortError(
-            f"timbre extraction needs at least {MIN_ROUGHNESS_DURATION} s of audio"
-        )
+        raise ValueError(f"timbre extraction needs at least {MIN_ROUGHNESS_DURATION} s of audio")
     spec = stft_power(clip) if spec is None else spec
     if spec.power.sum() <= SILENCE_POWER_FLOOR:
-        raise SilentClipError("silent input: total framed power below threshold")
+        raise ValueError("silent input: total framed power below threshold")
     loudness = _specific_loudness(spec)
     if loudness.sum() <= 0.0:
-        raise SilentClipError("no energy inside the analysis bands")
+        raise ValueError("no energy inside the analysis bands")
     return TimbreVector(
         sharpness=_sharpness(loudness),
         roughness=_roughness(clip, loudness),

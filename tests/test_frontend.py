@@ -16,11 +16,7 @@ from timbrediff.frontend import (
     FRAME_LEN,
     HOP,
     AudioClip,
-    EmptyBandError,
     Spectrogram,
-    UnsupportedWavError,
-    WavError,
-    WavHeaderError,
     band_envelopes,
     bark_band_edges,
     bark_band_powers,
@@ -98,7 +94,7 @@ class TestWavIO:
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.wav"
         path.write_bytes(b"definitely not a wav file at all")
-        with pytest.raises(WavHeaderError):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a RIFF/WAVE file")):
             load_wav(path)
 
     def test_truncated_data_chunk(self, tmp_path):
@@ -108,7 +104,8 @@ class TestWavIO:
                                           32000, 2, 16)
                   + b"data" + struct.pack("<I", 100))
         path.write_bytes(header + b"\x00" * 10)  # declares 100, delivers 10
-        with pytest.raises(WavHeaderError):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: data chunk shorter than declared")):
             load_wav(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -118,7 +115,7 @@ class TestWavIO:
         raw = bytearray(path.read_bytes())
         raw[-4:] = np.array([bad], dtype="<f4").tobytes()
         path.write_bytes(bytes(raw))
-        with pytest.raises(WavError, match=re.escape(f"{path}: samples must be finite")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: samples must be finite")):
             load_wav(path)
 
     @pytest.mark.parametrize("odd_at", [("before_fmt",), ("between",), ("after_data",),
@@ -150,7 +147,9 @@ class TestWavIO:
                                           8000, 1, 8)
                   + b"data" + struct.pack("<I", len(body)))
         path.write_bytes(header + body)
-        with pytest.raises(UnsupportedWavError):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: unsupported codec (format tag 6, 8-bit); "
+                "only PCM16 and IEEE float32 are readable")):
             load_wav(path)
 
 
@@ -564,7 +563,8 @@ class TestBandEnvelopes:
     def test_empty_band(self):
         # 1 s at 16 kHz gives 1 Hz bins; (7999.2, 7999.8) straddles none.
         for _ in range(2):
-            with pytest.raises(EmptyBandError, match="contains no spectral bins"):
+            with pytest.raises(ValueError, match=re.escape(
+                    "band 7999.2-7999.8 Hz contains no spectral bins")):
                 band_envelopes(make_tone(1000), [(7999.2, 7999.8)])
 
     def test_band_outside_nyquist(self):
@@ -594,7 +594,7 @@ def _reference_analytic_spectra(clip: AudioClip, band_edges) -> np.ndarray:
         if hi >= nyquist:
             members |= freqs == nyquist
         if not members.any():
-            raise EmptyBandError(f"band {lo}-{hi} Hz contains no spectral bins")
+            raise ValueError(f"band {lo}-{hi} Hz contains no spectral bins")
         bins = k_pos[members]
         scale = np.full(bins.size, 2.0)
         if has_nyquist_bin:
@@ -663,8 +663,8 @@ def assert_envelopes_match_reference(clip, edges=None):
     edges = bark_band_edges(clip.sample_rate) if edges is None else edges
     try:
         spectra = _reference_analytic_spectra(clip, edges)
-    except EmptyBandError:
-        with pytest.raises(EmptyBandError):
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             band_envelopes(clip, edges)
         return
     scale = np.abs(np.fft.ifft(spectra, axis=1)).max()
@@ -702,9 +702,10 @@ class TestBandEnvelopesMatchReference:
     ])
     def test_same_empty_band_errors(self, n_samples, edges):
         clip = _uniform_clip(16000, n_samples, seed=6)
-        with pytest.raises(EmptyBandError):
+        message = re.escape(f"band {edges[0][0]}-{edges[0][1]} Hz contains no spectral bins")
+        with pytest.raises(ValueError, match=message):
             _reference_band_envelopes(clip, edges)
-        with pytest.raises(EmptyBandError):
+        with pytest.raises(ValueError, match=message):
             band_envelopes(clip, edges)
 
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,9 +1,10 @@
 """Property tests: any bytes given to a file reader either parse or raise
-the package's own error, with a message that names the file.  The model's
+ValueError, with a message that names the file.  The model's
 timbre.npy and clip_ids.json are read through load_model."""
 
 import io
 import json
+import re
 import shutil
 import struct
 
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from timbrediff.dataset import (
     GROUND_TRUTH_CSV_HEADER,
     MANIFEST_CSV_HEADER,
-    ManifestError,
     load_manifest,
     read_ground_truth_csv,
 )
@@ -24,10 +24,9 @@ from timbrediff.embeddings import (
     DistanceKind,
     Embedding,
     NormalizationStats,
-    TdceError,
     read_tdce,
 )
-from timbrediff.frontend import WavError, load_wav
+from timbrediff.frontend import load_wav
 from timbrediff.store import load_model, save_model
 from timbrediff.timbre import TIMBRE_CSV_HEADER, TimbreVector, read_timbre_csv
 
@@ -64,47 +63,47 @@ def csv_bytes(header, rows=token_rows):
                      lines(header, rows))
 
 
-def check_reader(tmp_path, name, content, read, errors):
+def check_reader(tmp_path, name, content, read):
     path = tmp_path / name
     path.write_bytes(content)
     try:
         read(path)
-    except errors as exc:
+    except ValueError as exc:
         assert str(exc).startswith(f"{path}: "), exc
 
 
-@pytest.mark.parametrize("header,read,error", [
-    (MANIFEST_CSV_HEADER, load_manifest, ManifestError),
-    (TIMBRE_CSV_HEADER, read_timbre_csv, ValueError),
-    (RESULTS_CSV_HEADER, read_results_csv, ValueError),
-    (GROUND_TRUTH_CSV_HEADER, read_ground_truth_csv, ValueError),
+@pytest.mark.parametrize("header,read", [
+    (MANIFEST_CSV_HEADER, load_manifest),
+    (TIMBRE_CSV_HEADER, read_timbre_csv),
+    (RESULTS_CSV_HEADER, read_results_csv),
+    (GROUND_TRUTH_CSV_HEADER, read_ground_truth_csv),
 ], ids=["manifest", "timbre", "results", "ground_truth"])
-def test_csv_readers(tmp_path_factory, header, read, error):
+def test_csv_readers(tmp_path_factory, header, read):
     tmp_path = tmp_path_factory.mktemp("csv")
 
     @FUZZ
     @given(content=csv_bytes(header))
     def run(content):
-        check_reader(tmp_path, "table.csv", content, read, error)
+        check_reader(tmp_path, "table.csv", content, read)
 
     run()
 
 
-@pytest.mark.parametrize("header,read,error", [
-    (MANIFEST_CSV_HEADER, load_manifest, ManifestError),
-    (TIMBRE_CSV_HEADER, read_timbre_csv, ValueError),
+@pytest.mark.parametrize("header,read", [
+    (MANIFEST_CSV_HEADER, load_manifest),
+    (TIMBRE_CSV_HEADER, read_timbre_csv),
 ], ids=["manifest", "timbre"])
 @pytest.mark.parametrize("ends", [["\n"], ["\r\n"], ["\r"], ["\r", "\r\n", "\n"]],
                          ids=["lf", "crlf", "cr", "mixed"])
-def test_undecodable_byte_names_its_row(tmp_path, header, read, error, ends):
+def test_undecodable_byte_names_its_row(tmp_path, header, read, ends):
     # csv.reader ends a line at each of \n, \r\n and a lone \r.
     lines = [",".join(header)] + [",".join([f"c{i}"] * len(header)) for i in range(3)]
     text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
     path = tmp_path / "table.csv"
     path.write_bytes(text.encode().replace(b"c2", b"c\xff"))     # on line 4
-    with pytest.raises(error) as caught:
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}: row 4: 'utf-8' codec can't decode byte 0xff")):
         read(path)
-    assert str(caught.value).startswith(f"{path}: row 4: 'utf-8' codec can't decode byte 0xff")
 
 
 TDCE_HEADER = st.builds(lambda version, dim, count: struct.pack("<4sIII", b"TDCE",
@@ -123,7 +122,7 @@ def test_tdce_reader(tmp_path_factory, payload, sidecar):
     ids.write_bytes(sidecar)
     try:
         read_tdce(path)
-    except TdceError as exc:
+    except ValueError as exc:
         assert str(exc).startswith((f"{path}: ", f"{ids}: ")), exc
 
 
@@ -182,7 +181,7 @@ def test_model_array_readers(small_model, tmp_path_factory, name, contents):
     @FUZZ
     @given(content=contents)
     def run(content):
-        check_reader(model_dir, name, content, load_model, ValueError)
+        check_reader(model_dir, name, content, load_model)
 
     run()
 
@@ -212,4 +211,4 @@ WAVS = st.builds(
          + wav_chunk(b"fmt ", struct.pack("<HHIIHH", 3, 1, 16000, 0, 0, 32))
          + wav_chunk(b"data", struct.pack("<2f", 0.5, float("nan"))))
 def test_wav_reader(tmp_path_factory, content):
-    check_reader(tmp_path_factory.mktemp("wav"), "clip.wav", content, load_wav, WavError)
+    check_reader(tmp_path_factory.mktemp("wav"), "clip.wav", content, load_wav)

@@ -1,17 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timbrediff.csvrows import write_rows
-from timbrediff.frontend import AudioClip, CANONICAL_RATE, EmptyBandError, bark_band_edges
+from timbrediff.frontend import AudioClip, CANONICAL_RATE, bark_band_edges
 from timbrediff.synth import am_buzz, apply_transform, default_benchmark_specs, generate_clip
 from timbrediff.timbre import (
     ATTRIBUTE_NAMES,
     ROUGHNESS_MOD_BAND_HZ,
     TIMBRE_CSV_HEADER,
-    ClipTooShortError,
-    SilentClipError,
     TimbreVector,
     _roughness,
     compute_timbre_vector,
@@ -65,7 +65,8 @@ class TestBrightness:
         assert abs(vec.brightness - 2000.0) < 20.0
 
     def test_silent_error(self):
-        with pytest.raises(SilentClipError):
+        with pytest.raises(ValueError,
+                           match="^silent input: total framed power below threshold$"):
             compute_timbre_vector(AudioClip(np.zeros(16000), CANONICAL_RATE))
 
 
@@ -111,11 +112,13 @@ class TestRoughness:
             compute_timbre_vector(clip).roughness, rel=1e-9)
 
     def test_too_short(self):
-        with pytest.raises(ClipTooShortError):
+        with pytest.raises(ValueError,
+                           match=r"^timbre extraction needs at least 0\.25 s of audio$"):
             compute_timbre_vector(make_tone(1000, duration=0.2))
 
     def test_silent(self):
-        with pytest.raises(SilentClipError):
+        with pytest.raises(ValueError,
+                           match="^silent input: total framed power below threshold$"):
             compute_timbre_vector(AudioClip(np.zeros(16000), CANONICAL_RATE))
 
 
@@ -150,8 +153,8 @@ def assert_roughness_matches_reference(clip):
     loudness = np.linspace(1.0, 2.0, len(bark_band_edges(clip.sample_rate)))
     try:
         ref = _reference_roughness(clip, loudness)
-    except EmptyBandError:
-        with pytest.raises(EmptyBandError):
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             _roughness(clip, loudness)
         return
     assert _roughness(clip, loudness) == pytest.approx(ref, rel=ROUGHNESS_RTOL, abs=0.0)
